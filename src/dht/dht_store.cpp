@@ -45,7 +45,8 @@ DhtStore::DhtStore(std::uint32_t max_entities, AllocMode mode)
       sets_(kMinCapacity, 0),
       scratch_(words_per_entry_, 0) {
   if (mode_ == AllocMode::kPool) {
-    pool_ = std::make_unique<PoolAllocatorBase>(words_per_entry_ * sizeof(std::uint64_t));
+    pool_ = std::make_unique<PoolAllocatorBase>(words_per_entry_ * sizeof(std::uint64_t),
+                                                kSpillSlabObjects);
   }
   own_metrics_ = std::make_unique<obs::Registry>();
   metrics_ = own_metrics_.get();
@@ -89,7 +90,6 @@ void DhtStore::steal_storage(DhtStore&& o) noexcept {
   ctrl_ = std::move(o.ctrl_);
   sets_ = std::move(o.sets_);
   size_ = o.size_;
-  tombstones_ = o.tombstones_;
   pool_ = std::move(o.pool_);
   malloc_bytes_ = o.malloc_bytes_;
   scratch_ = std::move(o.scratch_);
@@ -97,7 +97,6 @@ void DhtStore::steal_storage(DhtStore&& o) noexcept {
   o.ctrl_.clear();
   o.sets_.clear();
   o.size_ = 0;
-  o.tombstones_ = 0;
   o.malloc_bytes_ = 0;
 }
 
@@ -176,30 +175,45 @@ void DhtStore::free_spill(std::uint64_t* words) noexcept {
 
 void DhtStore::release_slot(std::size_t slot) noexcept {
   if (ctrl_[slot] == kSpilled) free_spill(spill_of(slot));
-  ctrl_[slot] = kTombstone;
-  sets_[slot] = 0;
-  ++tombstones_;
   --size_;
-}
-
-const std::uint64_t* DhtStore::slot_words(std::size_t slot) const {
-  if (ctrl_[slot] == kSpilled) return spill_of(slot);
-  std::fill(scratch_.begin(), scratch_.end(), 0);
-  set_bit(scratch_.data(), lo_id(sets_[slot]));
-  if (ctrl_[slot] == kInline2) set_bit(scratch_.data(), hi_id(sets_[slot]));
-  return scratch_.data();
+  // Backward-shift deletion: walk the rest of the probe run and pull back
+  // every entry whose home slot does not lie cyclically in (hole, entry], so
+  // no lookup ever has to step over a deletion marker.
+  const std::size_t cap = ctrl_.size();
+  const std::size_t mask = cap - 1;
+  std::size_t hole = slot;
+  for (std::size_t idx = (slot + 1) & mask; ctrl_[idx] != kEmpty; idx = (idx + 1) & mask) {
+    const std::size_t displacement = (idx - home_slot(hashes_[idx], cap)) & mask;
+    if (displacement < ((idx - hole) & mask)) continue;  // would move before its home
+    hashes_[hole] = hashes_[idx];
+    ctrl_[hole] = ctrl_[idx];
+    sets_[hole] = sets_[idx];
+    hole = idx;
+  }
+  ctrl_[hole] = kEmpty;
+  sets_[hole] = 0;
 }
 
 std::size_t DhtStore::find(const ContentHash& h) const noexcept {
   const std::size_t mask = ctrl_.size() - 1;
-  std::size_t idx = h.well_mixed() & mask;
+  std::size_t idx = home_slot(h, ctrl_.size());
   for (std::size_t probes = 0; probes < ctrl_.size(); ++probes) {
     const std::uint8_t c = ctrl_[idx];
     if (c == kEmpty) return kNpos;
-    if (c >= kInline1 && hashes_[idx] == h) return idx;
+    if (hashes_[idx] == h) return idx;
     idx = (idx + 1) & mask;
   }
   return kNpos;
+}
+
+std::size_t DhtStore::max_displacement() const noexcept {
+  const std::size_t mask = ctrl_.size() - 1;
+  std::size_t worst = 0;
+  for (std::size_t i = 0; i < ctrl_.size(); ++i) {
+    if (ctrl_[i] == kEmpty) continue;
+    worst = std::max(worst, (i - home_slot(hashes_[i], ctrl_.size())) & mask);
+  }
+  return worst;
 }
 
 std::size_t DhtStore::capacity_for(std::size_t entries) noexcept {
@@ -213,8 +227,8 @@ void DhtStore::rehash(std::size_t new_cap) {
   std::vector<std::uint64_t> sets(new_cap, 0);
   const std::size_t mask = new_cap - 1;
   for (std::size_t i = 0; i < ctrl_.size(); ++i) {
-    if (ctrl_[i] < kInline1) continue;
-    std::size_t idx = hashes_[i].well_mixed() & mask;
+    if (ctrl_[i] == kEmpty) continue;
+    std::size_t idx = home_slot(hashes_[i], new_cap);
     while (ctrl[idx] != kEmpty) idx = (idx + 1) & mask;
     hashes[idx] = hashes_[i];
     ctrl[idx] = ctrl_[i];
@@ -223,13 +237,12 @@ void DhtStore::rehash(std::size_t new_cap) {
   hashes_ = std::move(hashes);
   ctrl_ = std::move(ctrl);
   sets_ = std::move(sets);
-  tombstones_ = 0;
 }
 
 void DhtStore::maybe_grow() {
-  // Grow (and squeeze out tombstones) past 7/8 occupancy, keeping at least
-  // one empty slot so probe loops terminate.
-  if ((size_ + 1 + tombstones_) * 8 <= ctrl_.size() * 7) return;
+  // Grow past 7/8 occupancy, keeping at least one empty slot so probe loops
+  // terminate.
+  if ((size_ + 1) * 8 <= ctrl_.size() * 7) return;
   rehash(capacity_for(size_ + 1));
 }
 
@@ -281,20 +294,11 @@ bool DhtStore::insert(const ContentHash& h, EntityId entity) {
   }
   maybe_grow();
   const std::size_t mask = ctrl_.size() - 1;
-  std::size_t idx = h.well_mixed() & mask;
-  std::size_t place = kNpos;
-  while (ctrl_[idx] != kEmpty) {
-    if (place == kNpos && ctrl_[idx] == kTombstone) place = idx;
-    idx = (idx + 1) & mask;
-  }
-  if (place == kNpos) {
-    place = idx;
-  } else {
-    --tombstones_;  // reuse the deletion marker closest to home
-  }
-  hashes_[place] = h;
-  ctrl_[place] = kInline1;
-  sets_[place] = raw(entity);
+  std::size_t idx = home_slot(h, ctrl_.size());
+  while (ctrl_[idx] != kEmpty) idx = (idx + 1) & mask;
+  hashes_[idx] = h;
+  ctrl_[idx] = kInline1;
+  sets_[idx] = raw(entity);
   ++size_;
   cells_.inserts_new->inc();
   update_occupancy();
@@ -361,6 +365,8 @@ bool DhtStore::remove(const ContentHash& h, EntityId entity) {
 void DhtStore::apply_batch(std::span<const UpdateRecord> records) {
   // Group same-hash records together so each hash's probe run is walked
   // while hot, sorting indices (not records) to keep the input immutable.
+  // Home slots are the top bits of well_mixed(), so this order also walks
+  // the table front to back.
   // The stable sort preserves the arrival order of same-hash records, which
   // insert()/remove() pairs for one (hash, entity) depend on.
   std::vector<std::uint32_t> order(records.size());
@@ -460,7 +466,6 @@ void DhtStore::clear() {
   ctrl_ = std::vector<std::uint8_t>(kMinCapacity, kEmpty);
   sets_ = std::vector<std::uint64_t>(kMinCapacity, 0);
   size_ = 0;
-  tombstones_ = 0;
   update_occupancy();
 }
 

@@ -7,8 +7,11 @@
 // message.
 //
 // Storage is an open-addressing (linear probing, power-of-two capacity,
-// tombstone deletion) table in struct-of-arrays layout — dense parallel
+// backward-shift deletion) table in struct-of-arrays layout — dense parallel
 // arrays for hashes, per-slot control bytes, and 8-byte entity-set slots.
+// A hash's home slot comes from the *top* bits of well_mixed(), while
+// Placement::home takes it modulo N; the two are independent for every N, so
+// a shard's keys spread over its whole table even when N is a power of two.
 // An entity set holds up to two u32 entity ids inline (the overwhelmingly
 // common case at site scale: most content is held by one or two entities);
 // a third id promotes the slot to a spilled max_entities-wide bitmap. The
@@ -25,7 +28,9 @@
 //               efficiency over the use of GNU malloc").
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -98,9 +103,24 @@ class DhtStore {
   /// words pointer is only valid for the duration of one callback.
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
-    for (std::size_t i = 0; i < ctrl_.size(); ++i) {
-      if (ctrl_[i] < kInline1) continue;  // empty or tombstone
-      fn(hashes_[i], slot_words(i), words_per_entry_);
+    static_assert(std::endian::native == std::endian::little,
+                  "control-byte groups are decoded lowest address first");
+    for (std::size_t base = 0; base < ctrl_.size(); base += kGroup) {
+      std::uint64_t group;
+      std::memcpy(&group, ctrl_.data() + base, sizeof(group));
+      // Control bytes are 0..3, so a byte is live iff either low bit is set:
+      // skip a run of eight empty slots with one test.
+      std::uint64_t live = (group | (group >> 1)) & 0x0101010101010101ULL;
+      while (live != 0) {
+        const std::size_t i = base + static_cast<std::size_t>(std::countr_zero(live)) / 8;
+        live &= live - 1;
+        if (ctrl_[i] == kSpilled) {
+          fn(hashes_[i], spill_of(i), words_per_entry_);
+        } else {
+          const InlineBits bits(scratch_.data(), sets_[i], ctrl_[i] == kInline2);
+          fn(hashes_[i], scratch_.data(), words_per_entry_);
+        }
+      }
     }
   }
 
@@ -115,8 +135,13 @@ class DhtStore {
   /// Table slots (power of two; grows past 7/8 occupancy, shrinks below 1/8
   /// load). Test/bench surface.
   [[nodiscard]] std::size_t capacity() const noexcept { return ctrl_.size(); }
-  /// Slots holding a deletion marker awaiting reuse. Test surface.
-  [[nodiscard]] std::size_t tombstones() const noexcept { return tombstones_; }
+  /// Slots holding a deletion marker. Always 0: remove() shifts the rest of
+  /// the probe run back into the hole instead of leaving a marker. Kept for
+  /// callers that report table health.
+  [[nodiscard]] std::size_t tombstones() const noexcept { return 0; }
+  /// Longest distance, in slots, of any live entry from its home slot,
+  /// computed by walking the table. Test surface.
+  [[nodiscard]] std::size_t max_displacement() const noexcept;
 
   /// Heap bytes held: slot arrays plus spilled bitmaps. In kMalloc mode the
   /// spill accounting uses the real per-allocation usable size reported by
@@ -127,15 +152,45 @@ class DhtStore {
   void clear();
 
  private:
-  // Control byte per slot: anything >= kInline1 is a live entry.
+  // Control byte per slot: anything but kEmpty is a live entry.
   static constexpr std::uint8_t kEmpty = 0;
-  static constexpr std::uint8_t kTombstone = 1;
-  static constexpr std::uint8_t kInline1 = 2;   // one inline id (set lo 32 bits)
-  static constexpr std::uint8_t kInline2 = 3;   // two inline ids, ascending
-  static constexpr std::uint8_t kSpilled = 4;   // set slot holds a bitmap pointer
+  static constexpr std::uint8_t kInline1 = 1;   // one inline id (set lo 32 bits)
+  static constexpr std::uint8_t kInline2 = 2;   // two inline ids, ascending
+  static constexpr std::uint8_t kSpilled = 3;   // set slot holds a bitmap pointer
 
   static constexpr std::size_t kMinCapacity = 64;
+  static constexpr std::size_t kGroup = 8;  // control bytes per for_each_entry test
+  static_assert(kMinCapacity % kGroup == 0);
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+  // Spilled bitmaps per pool slab. Small, because a shard's first spill
+  // reserves a whole slab and most shards spill only a few hashes.
+  static constexpr std::size_t kSpillSlabObjects = 64;
+
+  /// Sets an inline set's one or two ids in the all-zero scratch bitmap for
+  /// the lifetime of the object, and clears them again on the way out.
+  class InlineBits {
+   public:
+    InlineBits(std::uint64_t* words, std::uint64_t set, bool pair) noexcept
+        : words_(words), set_(set), pair_(pair) {
+      flip();
+    }
+    ~InlineBits() { flip(); }
+    InlineBits(const InlineBits&) = delete;
+    InlineBits& operator=(const InlineBits&) = delete;
+
+   private:
+    void flip() noexcept {
+      const auto lo = static_cast<std::uint32_t>(set_ & 0xffffffffu);
+      words_[lo >> 6] ^= std::uint64_t{1} << (lo & 63);
+      if (pair_) {
+        const auto hi = static_cast<std::uint32_t>(set_ >> 32);
+        words_[hi >> 6] ^= std::uint64_t{1} << (hi & 63);
+      }
+    }
+    std::uint64_t* words_;
+    std::uint64_t set_;
+    bool pair_;
+  };
 
   /// Pre-resolved registry cells; updated on every mutation so the registry
   /// always reflects shard occupancy without polling.
@@ -153,14 +208,15 @@ class DhtStore {
   [[nodiscard]] std::uint64_t* spill_of(std::size_t slot) const noexcept {
     return reinterpret_cast<std::uint64_t*>(static_cast<std::uintptr_t>(sets_[slot]));
   }
-  /// The slot's entity set as bitmap words (spill directly, inline via the
-  /// scratch buffer).
-  [[nodiscard]] const std::uint64_t* slot_words(std::size_t slot) const;
-
   std::uint64_t* allocate_spill();
   void free_spill(std::uint64_t* words) noexcept;
-  void release_slot(std::size_t slot) noexcept;  // frees a spill, marks tombstone
+  void release_slot(std::size_t slot) noexcept;  // frees a spill, closes the hole
 
+  /// Home slot of `h` in a table of `cap` slots: the top log2(cap) bits of
+  /// well_mixed(), which Placement's `% N` does not constrain.
+  [[nodiscard]] static std::size_t home_slot(const ContentHash& h, std::size_t cap) noexcept {
+    return static_cast<std::size_t>(h.well_mixed() >> (64 - std::countr_zero(cap)));
+  }
   [[nodiscard]] std::size_t find(const ContentHash& h) const noexcept;
   void rehash(std::size_t new_cap);
   void maybe_grow();
@@ -178,7 +234,6 @@ class DhtStore {
   std::vector<std::uint8_t> ctrl_;    // [capacity]
   std::vector<std::uint64_t> sets_;   // [capacity] inline ids or spill pointer
   std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
   std::unique_ptr<PoolAllocatorBase> pool_;  // kPool spill arena
   std::size_t malloc_bytes_ = 0;             // kMalloc spill accounting
   mutable std::vector<std::uint64_t> scratch_;  // inline-set materialization

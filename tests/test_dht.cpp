@@ -2,7 +2,9 @@
 // std::map oracle, both allocation modes, and placement behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "common/rng.hpp"
@@ -70,6 +72,33 @@ TEST_P(DhtStoreModes, ForEachEntryVisitsAll) {
   EXPECT_EQ(seen.size(), 100u);
 }
 
+TEST_P(DhtStoreModes, ForEachEntryHandsOutExactSets) {
+  // Inline sets are materialized in a shared scratch bitmap; each callback
+  // must see exactly its own one, two or three holders, never a leftover bit
+  // of an earlier entry.
+  DhtStore store(200, GetParam());
+  std::map<ContentHash, std::set<std::uint32_t>> model;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    for (std::uint64_t k = 0; k <= i % 3; ++k) {
+      const auto ent = static_cast<std::uint32_t>((i * 37 + k * 71) % 200);
+      store.insert(h(i), entity_id(ent));
+      model[h(i)].insert(ent);
+    }
+  }
+  std::size_t visits = 0;
+  store.for_each_entry([&](const ContentHash& hash, const std::uint64_t* words, std::size_t n) {
+    ++visits;
+    std::set<std::uint32_t> got;
+    for (std::size_t w = 0; w < n; ++w) {
+      for (std::uint32_t b = 0; b < 64; ++b) {
+        if ((words[w] >> b) & 1u) got.insert(static_cast<std::uint32_t>(w * 64 + b));
+      }
+    }
+    EXPECT_EQ(got, model.at(hash));
+  });
+  EXPECT_EQ(visits, model.size());
+}
+
 TEST_P(DhtStoreModes, ModelBasedRandomOps) {
   // Property: a long random insert/remove sequence matches a map<hash,set>.
   DhtStore store(128, GetParam());
@@ -131,10 +160,10 @@ TEST(DhtStore, MemoryAccountingShrinksOnRemove) {
   EXPECT_LT(store.memory_bytes(), full);
 }
 
-TEST(DhtStore, TombstoneReuseKeepsCapacityStable) {
-  // Churn at a fixed live size must converge: the probe loop reuses the
-  // first tombstone on the walk, so remove/insert cycles neither grow the
-  // table nor accumulate unbounded deletion markers.
+TEST(DhtStore, ChurnKeepsCapacityStableWithoutTombstones) {
+  // Churn at a fixed live size must converge: backward-shift deletion closes
+  // every hole it makes, so remove/insert cycles neither grow the table nor
+  // leave deletion markers behind.
   DhtStore store(8, AllocMode::kPool);
   for (std::uint64_t i = 0; i < 40; ++i) store.insert(h(i), entity_id(0));
   const std::size_t cap = store.capacity();
@@ -144,6 +173,7 @@ TEST(DhtStore, TombstoneReuseKeepsCapacityStable) {
   }
   EXPECT_EQ(store.capacity(), cap);
   EXPECT_LE(store.tombstones(), store.capacity() - store.unique_hashes());
+  EXPECT_EQ(store.tombstones(), 0u);
   EXPECT_EQ(store.unique_hashes(), 40u);
   for (std::uint64_t i = 0; i < 40; ++i) {
     ASSERT_TRUE(store.contains(h(i), entity_id(0))) << i;
@@ -188,19 +218,20 @@ TEST(DhtStore, InlinePromotionAndDemotion) {
             store.capacity() * (sizeof(ContentHash) + 1 + sizeof(std::uint64_t)));
 }
 
-TEST(DhtStore, ApplyBatchMatchesModel) {
-  // Property: randomized batches (mixed inserts/removes, duplicate hashes
-  // inside one batch) leave the store exactly where per-record application
-  // of the same sequence leaves a map<hash,set> oracle.
-  DhtStore store(128, AllocMode::kPool);
+// Property: randomized batches (mixed inserts/removes, duplicate hashes
+// inside one batch) over `distinct` hashes and `holders` entity ids leave the
+// store exactly where per-record application of the same sequence leaves a
+// map<hash,set> oracle.
+void check_apply_batch_against_model(DhtStore& store, std::uint64_t distinct,
+                                     std::uint64_t holders) {
   std::map<ContentHash, std::set<std::uint32_t>> model;
   Rng rng(777);
   for (int batch = 0; batch < 400; ++batch) {
     std::vector<UpdateRecord> records;
     const std::size_t n = 1 + rng.below(60);
     for (std::size_t i = 0; i < n; ++i) {
-      const ContentHash hash = h(rng.below(150));
-      const auto ent = static_cast<std::uint32_t>(rng.below(128));
+      const ContentHash hash = h(rng.below(distinct));
+      const auto ent = static_cast<std::uint32_t>(rng.below(holders));
       const bool insert = rng.chance(0.7);
       records.push_back(UpdateRecord{hash, entity_id(ent), insert});
       if (insert) {
@@ -220,6 +251,90 @@ TEST(DhtStore, ApplyBatchMatchesModel) {
     const auto got = store.entities(hash);
     ASSERT_EQ(got.size(), ents.size());
     for (const EntityId e : got) ASSERT_TRUE(ents.contains(raw(e)));
+  }
+}
+
+TEST(DhtStore, ApplyBatchMatchesModel) {
+  DhtStore store(128, AllocMode::kPool);
+  check_apply_batch_against_model(store, 150, 128);
+}
+
+TEST(DhtStore, ApplyBatchMatchesModelAtMinimumCapacity) {
+  // 40 live hashes at most never cross the 7/8 grow threshold of the
+  // smallest table, so probe runs are long and crowded; two holders per hash
+  // make sets drain often, so removals keep shifting entries back, across
+  // the wrap point too.
+  DhtStore store(128, AllocMode::kPool);
+  const std::size_t min_cap = store.capacity();
+  check_apply_batch_against_model(store, 40, 2);
+  EXPECT_EQ(store.capacity(), min_cap);
+}
+
+TEST(DhtStore, BackwardShiftAcrossTheWrapPoint) {
+  // Keys whose home slots are the last slots of the table run across index
+  // 0. Removing them in any order must keep every survivor reachable, which
+  // a deletion that leaves a plain empty slot mid-run would break.
+  DhtStore probe(8, AllocMode::kPool);
+  const std::size_t cap = probe.capacity();
+  const int shift = 64 - std::countr_zero(cap);  // home = top log2(cap) bits
+  std::vector<ContentHash> keys;
+  for (std::uint64_t v = 0; keys.size() < 12; ++v) {
+    const std::size_t home = static_cast<std::size_t>(h(v).well_mixed() >> shift);
+    if (home >= cap - 3) keys.push_back(h(v));
+  }
+  for (std::uint64_t v = 0; keys.size() < 16; ++v) {  // residents of the wrapped slots
+    if ((h(v).well_mixed() >> shift) <= 1) keys.push_back(h(v));
+  }
+
+  std::vector<std::size_t> forward(keys.size());
+  std::iota(forward.begin(), forward.end(), 0u);
+  std::vector<std::size_t> backward(forward.rbegin(), forward.rend());
+  std::vector<std::size_t> shuffled = forward;
+  Rng rng(31);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+  }
+
+  for (const auto& order : {forward, backward, shuffled}) {
+    DhtStore store(8, AllocMode::kPool);
+    for (const ContentHash& k : keys) store.insert(k, entity_id(1));
+    ASSERT_EQ(store.capacity(), cap);
+    // Twelve keys homed in the last three slots end at least nine slots past
+    // the end of the table.
+    ASSERT_GE(store.max_displacement(), 9u);
+    std::set<std::size_t> gone;
+    for (const std::size_t victim : order) {
+      ASSERT_TRUE(store.remove(keys[victim], entity_id(1)));
+      gone.insert(victim);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(store.contains(keys[i], entity_id(1)), !gone.contains(i))
+            << "key " << i << " after removing " << victim;
+      }
+    }
+    EXPECT_EQ(store.unique_hashes(), 0u);
+    EXPECT_EQ(store.max_displacement(), 0u);
+  }
+}
+
+TEST(DhtStore, ShardKeysDoNotClusterInTheSlotIndex) {
+  // Regression: placement takes well_mixed() % N, so every key of one shard
+  // shares its low log2(N) bits when N is a power of two. A slot index built
+  // from those same bits folded a shard into a few long probe runs (longest
+  // displacement 665 at N = 1024 and 2,499 at N = 4096). The slot index must
+  // not see placement at any N. At this load (2,500 keys in 4,096 slots),
+  // healthy linear probing reaches a longest displacement of 17 to 47 across
+  // these N.
+  constexpr std::size_t kKeys = 2500;
+  for (const std::uint32_t n : {8u, 64u, 1000u, 1024u, 4096u}) {
+    const Placement placement(n);
+    DhtStore store(8, AllocMode::kPool);
+    std::size_t loaded = 0;
+    for (std::uint64_t v = 0; loaded < kKeys; ++v) {
+      if (placement.home(h(v)) != 0) continue;
+      store.insert(h(v), entity_id(0));
+      ++loaded;
+    }
+    EXPECT_LE(store.max_displacement(), 64u) << "N = " << n;
   }
 }
 
