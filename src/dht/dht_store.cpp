@@ -194,16 +194,20 @@ void DhtStore::release_slot(std::size_t slot) noexcept {
   sets_[hole] = 0;
 }
 
-std::size_t DhtStore::find(const ContentHash& h) const noexcept {
+DhtStore::Probe DhtStore::probe(const ContentHash& h) const noexcept {
   const std::size_t mask = ctrl_.size() - 1;
   std::size_t idx = home_slot(h, ctrl_.size());
   for (std::size_t probes = 0; probes < ctrl_.size(); ++probes) {
-    const std::uint8_t c = ctrl_[idx];
-    if (c == kEmpty) return kNpos;
-    if (hashes_[idx] == h) return idx;
+    if (ctrl_[idx] == kEmpty) return Probe{idx, false};
+    if (hashes_[idx] == h) return Probe{idx, true};
     idx = (idx + 1) & mask;
   }
-  return kNpos;
+  return Probe{kNpos, false};  // unreachable: maybe_grow keeps a slot empty
+}
+
+std::size_t DhtStore::find(const ContentHash& h) const noexcept {
+  const Probe p = probe(h);
+  return p.found ? p.slot : kNpos;
 }
 
 std::size_t DhtStore::max_displacement() const noexcept {
@@ -239,11 +243,12 @@ void DhtStore::rehash(std::size_t new_cap) {
   sets_ = std::move(sets);
 }
 
-void DhtStore::maybe_grow() {
+bool DhtStore::maybe_grow() {
   // Grow past 7/8 occupancy, keeping at least one empty slot so probe loops
   // terminate.
-  if ((size_ + 1) * 8 <= ctrl_.size() * 7) return;
+  if ((size_ + 1) * 8 <= ctrl_.size() * 7) return false;
   rehash(capacity_for(size_ + 1));
+  return true;
 }
 
 void DhtStore::maybe_shrink() {
@@ -261,8 +266,9 @@ void DhtStore::reserve(std::size_t expected_hashes) {
 bool DhtStore::insert(const ContentHash& h, EntityId entity) {
   assert(raw(entity) < max_entities_);
   cells_.inserts->inc();
-  const std::size_t slot = find(h);
-  if (slot != kNpos) {
+  const Probe p = probe(h);
+  if (p.found) {
+    const std::size_t slot = p.slot;
     const std::uint32_t e = raw(entity);
     switch (ctrl_[slot]) {
       case kInline1: {
@@ -292,10 +298,9 @@ bool DhtStore::insert(const ContentHash& h, EntityId entity) {
       }
     }
   }
-  maybe_grow();
-  const std::size_t mask = ctrl_.size() - 1;
-  std::size_t idx = home_slot(h, ctrl_.size());
-  while (ctrl_[idx] != kEmpty) idx = (idx + 1) & mask;
+  // The walk above ended on the empty slot that closes h's probe run; it is
+  // h's slot unless growing moved every entry.
+  const std::size_t idx = maybe_grow() ? probe(h).slot : p.slot;
   hashes_[idx] = h;
   ctrl_[idx] = kInline1;
   sets_[idx] = raw(entity);

@@ -217,9 +217,16 @@ class DhtStore {
   [[nodiscard]] static std::size_t home_slot(const ContentHash& h, std::size_t cap) noexcept {
     return static_cast<std::size_t>(h.well_mixed() >> (64 - std::countr_zero(cap)));
   }
+  /// Where h's probe walk stops: h's own slot (found), or the empty slot
+  /// that ends its probe run, where an insert of h belongs.
+  struct Probe {
+    std::size_t slot;
+    bool found;
+  };
+  [[nodiscard]] Probe probe(const ContentHash& h) const noexcept;
   [[nodiscard]] std::size_t find(const ContentHash& h) const noexcept;
   void rehash(std::size_t new_cap);
-  void maybe_grow();
+  bool maybe_grow();  // true if it rehashed, moving every entry
   void maybe_shrink();
   [[nodiscard]] static std::size_t capacity_for(std::size_t entries) noexcept;
 

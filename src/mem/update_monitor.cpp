@@ -181,4 +181,11 @@ const std::vector<ContentHash>* MemoryUpdateMonitor::known_hashes(EntityId id) c
   return it == tracked_.end() ? nullptr : &it->second.last_hash;
 }
 
+MemoryUpdateMonitor::CurrentHashes MemoryUpdateMonitor::current_hashes(
+    const MemoryEntity& entity) const {
+  const auto it = tracked_.find(entity.id());
+  const bool tracked = it != tracked_.end() && it->second.entity == &entity;
+  return CurrentHashes(entity, tracked ? &it->second : nullptr, hasher_);
+}
+
 }  // namespace concord::mem

@@ -106,9 +106,17 @@ class MemoryUpdateMonitor {
   /// The node's ground-truth content index (§3.2).
   [[nodiscard]] const LocalBlockMap& block_map() const noexcept { return block_map_; }
 
-  /// Ground truth for one entity: last scanned hash per block. Used by the
-  /// service command's local phase.
+  /// Ground truth for one entity: last scanned hash per block (zero where
+  /// never scanned). The daemon reads it to withdraw a departing entity's
+  /// content from the DHT.
   [[nodiscard]] const std::vector<ContentHash>* known_hashes(EntityId id) const;
+
+  class CurrentHashes;
+  /// Hash source for the *current* content of `entity`'s blocks: the entity
+  /// is looked up once here, then each block costs a few bit tests unless it
+  /// must be hashed (see CurrentHashes). The view is valid until `entity`
+  /// is attached again or detached.
+  [[nodiscard]] CurrentHashes current_hashes(const MemoryEntity& entity) const;
 
   [[nodiscard]] std::size_t tracked_entities() const noexcept { return tracked_.size(); }
 
@@ -146,6 +154,32 @@ class MemoryUpdateMonitor {
   obs::Registry* metrics_ = nullptr;            // bound registry, if any
   std::unique_ptr<obs::Registry> own_metrics_;  // fallback when unbound
   Cells cells_;
+};
+
+/// current(b) is block b's last scanned hash when all three hold: the block
+/// was scanned, the throttle did not leave it pending, and its write-tracking
+/// bit (MemoryEntity::dirty()) is clear. Otherwise it hashes the bytes.
+/// write_block() is the only mutable path to entity memory and sets that bit
+/// in every DetectMode, so a cached hash always equals a fresh one.
+class MemoryUpdateMonitor::CurrentHashes {
+ public:
+  [[nodiscard]] ContentHash current(BlockIndex b) const {
+    if (tracked_ != nullptr && tracked_->ever_scanned[b] && !tracked_->pending.test(b) &&
+        !entity_->dirty().test(b)) {
+      return tracked_->last_hash[b];
+    }
+    return (*hasher_)(entity_->block(b));
+  }
+
+ private:
+  friend class MemoryUpdateMonitor;
+  CurrentHashes(const MemoryEntity& entity, const Tracked* tracked,
+                const hash::BlockHasher& hasher) noexcept
+      : entity_(&entity), tracked_(tracked), hasher_(&hasher) {}
+
+  const MemoryEntity* entity_;
+  const Tracked* tracked_;  // nullptr: not tracked here, always hash
+  const hash::BlockHasher* hasher_;
 };
 
 }  // namespace concord::mem

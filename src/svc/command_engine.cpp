@@ -613,9 +613,11 @@ void CommandEngine::handle_dispatch(core::ServiceDaemon& d, const DispatchMsg& d
   const hash::Algorithm algo = cluster_.params().hash_algorithm;
   sim::Time cost = cm.callback_cost();  // lookup + dispatch bookkeeping
   // Ground truth check: does the chosen entity still hold content with this
-  // hash? The block map may itself be stale (content mutated after the last
-  // scan), so verify by rehashing before handing the pointer to the service
-  // — this is what makes "handled" trustworthy.
+  // hash? The block map is exact for a clean block (scanned, not pending,
+  // not written since), so only a block the monitor cannot vouch for is
+  // rehashed before the pointer goes to the service — this is what makes
+  // "handled" trustworthy. The virtual clock charges the rehash either way,
+  // as the paper's executor always pays it.
   [&] {
     if (!cluster_.registry().alive(dm.chosen)) return;
     const auto* locs = d.block_map().find(dm.hash);
@@ -625,7 +627,8 @@ void CommandEngine::handle_dispatch(core::ServiceDaemon& d, const DispatchMsg& d
       const mem::MemoryEntity& e = cluster_.entity(loc.entity);
       const auto data = e.block(loc.block);
       cost += cm.hash_cost(algo, data.size());  // verification rehash
-      if (d.monitor().hasher()(data) != dm.hash) continue;  // stale map entry
+      const ContentHash now = d.monitor().current_hashes(e).current(loc.block);
+      if (now != dm.hash) continue;  // stale map entry
       const Result<std::uint64_t> r =
           ex.service->collective_command(n, dm.chosen, dm.hash, data);
       // The service callback's work is charged as memcpy-class access to
@@ -745,10 +748,10 @@ Status CommandEngine::run_local_phase(core::ServiceDaemon& d, sim::Time& cost) {
     cost += cm.callback_cost();
 
     const mem::MemoryEntity& e = cluster_.entity(eid);
-    const hash::BlockHasher& hasher = d.monitor().hasher();
+    const auto hashes = d.monitor().current_hashes(e);
     for (BlockIndex b = 0; b < e.num_blocks(); ++b) {
       const auto data = e.block(b);
-      const ContentHash h = hasher(data);  // ground truth, freshly hashed
+      const ContentHash h = hashes.current(b);  // ground truth of the current content
       const auto hit = handled.find(h);
       const std::uint64_t* priv = hit == handled.end() ? nullptr : &hit->second;
       cells_.local_blocks->inc();
@@ -759,7 +762,8 @@ Status CommandEngine::run_local_phase(core::ServiceDaemon& d, sim::Time& cost) {
       }
       s = ex.service->local_command(n, eid, b, h, data, priv);
       if (!ok(s)) st = s;
-      // Ground-truth rehash plus the service's memcpy-class block work.
+      // Ground-truth rehash (charged even when the monitor's hash is reused)
+      // plus the service's memcpy-class block work.
       cost += cm.hash_cost(algo, data.size()) + cm.callback_cost() + cm.touch_cost(data.size());
     }
 

@@ -16,14 +16,17 @@
 //               or random), and dispatches collective_command() to the
 //               replica's host — pipelined, with retry on a different
 //               replica when the host reports the content stale/gone
-//               (verified by rehashing before use). Successful handling is
+//               (verified before use: the monitor's hash of a clean block,
+//               a rehash of any other). Successful handling is
 //               redistributed to SE hosts as best-effort "handled(hash,
 //               private)" datagrams — the content-hash-exchange traffic of
 //               §3.4; losing one only costs efficiency, never correctness.
 //               Barrier when every shard drains.
 //   coll-fin    collective_finalize() per scope entity; barrier.
-//   local       local_start(); then for each SE block: rehash the *current*
-//               content and invoke local_command() with the handled private
+//   local       local_start(); then for each SE block: take the hash of the
+//               *current* content (the monitor's, unless the block was
+//               written since its scan or left pending; then a rehash) and
+//               invoke local_command() with the handled private
 //               value if this node received one for that hash;
 //               local_finalize(); barrier.
 //   deinit      service_deinit() on scope nodes; barrier; command completes.

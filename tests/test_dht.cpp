@@ -5,6 +5,7 @@
 #include <bit>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "common/rng.hpp"
@@ -336,6 +337,63 @@ TEST(DhtStore, ShardKeysDoNotClusterInTheSlotIndex) {
     }
     EXPECT_LE(store.max_displacement(), 64u) << "N = " << n;
   }
+}
+
+TEST(DhtStore, NewHashesAcrossTheGrowthThreshold) {
+  // insert() places a new hash in the empty slot its probe walk ended on,
+  // unless growing the table moved every entry first. A reference table
+  // with the same rules (home = top log2(cap) bits, grow to twice the
+  // capacity past 7/8 occupancy, re-insert in old slot order, linear probing)
+  // must agree with the store after every insert, at the growth steps too.
+  std::vector<std::optional<ContentHash>> model(DhtStore(8, AllocMode::kPool).capacity());
+  const auto home = [](const ContentHash& k, std::size_t cap) {
+    return static_cast<std::size_t>(k.well_mixed() >> (64 - std::countr_zero(cap)));
+  };
+  const auto place = [&home](std::vector<std::optional<ContentHash>>& t, const ContentHash& k) {
+    std::size_t i = home(k, t.size());
+    while (t[i].has_value()) i = (i + 1) & (t.size() - 1);
+    t[i] = k;
+  };
+  const auto model_displacement = [&home](const std::vector<std::optional<ContentHash>>& t) {
+    std::size_t worst = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (!t[i].has_value()) continue;
+      worst = std::max(worst, (i - home(*t[i], t.size())) & (t.size() - 1));
+    }
+    return worst;
+  };
+
+  obs::Registry registry;
+  DhtStore store(8, AllocMode::kPool);
+  store.bind_metrics(registry, 0);
+  const obs::Counter& inserts_new = registry.counter("dht", "inserts_new", 0);
+  constexpr std::uint64_t kKeys = 500;  // crosses 56/64, 112/128, 224/256, 448/512
+  std::size_t growths = 0;
+  for (std::uint64_t v = 0; v < kKeys; ++v) {
+    if ((v + 1) * 8 > model.size() * 7) {
+      std::vector<std::optional<ContentHash>> grown(model.size() * 2);
+      for (const auto& k : model) {
+        if (k.has_value()) place(grown, *k);
+      }
+      model = std::move(grown);
+      ++growths;
+    }
+    place(model, h(v));
+    ASSERT_TRUE(store.insert(h(v), entity_id(1))) << v;
+    // Re-inserting an old hash for a second holder creates no entry.
+    if (v % 3 == 0) {
+      ASSERT_FALSE(store.insert(h(v / 2), entity_id(2))) << v;
+    }
+    ASSERT_EQ(store.capacity(), model.size()) << "after " << v + 1 << " hashes";
+    ASSERT_EQ(store.max_displacement(), model_displacement(model)) << "after " << v + 1;
+    ASSERT_EQ(inserts_new.value(), v + 1);
+    for (std::uint64_t k = 0; k <= v; ++k) {
+      ASSERT_TRUE(store.contains(h(k), entity_id(1))) << k << " after " << v + 1;
+    }
+    ASSERT_EQ(store.num_entities(h(v + 1)), 0u);
+  }
+  EXPECT_EQ(growths, 4u);
+  EXPECT_EQ(store.unique_hashes(), kKeys);
 }
 
 TEST(DhtStore, CompactBeatsChainedBytesPerEntry) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 
+#include "hash/block_hasher.hpp"
 #include "services/null_service.hpp"
 #include "svc/command_engine.hpp"
 #include "workload/workloads.hpp"
@@ -340,6 +341,80 @@ TEST(CommandEngine, DepartedReplicaTriggersRetry) {
   ASSERT_TRUE(ok(stats.status));
   EXPECT_EQ(stats.collective_handled, stats.distinct_hashes);  // a or d served all
   EXPECT_EQ(stats.local_uncovered, 0u);
+}
+
+/// Asserts that every hash the engine hands a callback is the hash of the
+/// bytes handed with it, wherever the engine took that hash from.
+class HashCheckingService : public RecordingService {
+ public:
+  explicit HashCheckingService(hash::BlockHasher hasher) : hasher_(hasher) {}
+  std::uint64_t collective_cmds = 0;
+
+  Result<std::uint64_t> collective_command(NodeId n, EntityId e, const ContentHash& h,
+                                           std::span<const std::byte> data) override {
+    EXPECT_EQ(h, hasher_(data)) << "collective_command got a stale hash";
+    ++collective_cmds;
+    return RecordingService::collective_command(n, e, h, data);
+  }
+  Status local_command(NodeId n, EntityId e, BlockIndex b, const ContentHash& h,
+                       std::span<const std::byte> data, const std::uint64_t* handled) override {
+    EXPECT_EQ(h, hasher_(data)) << "local_command got a stale hash for block " << b;
+    return RecordingService::local_command(n, e, b, h, data, handled);
+  }
+
+ private:
+  hash::BlockHasher hasher_;
+};
+
+TEST(CommandEngine, CallbackHashesMatchContent) {
+  constexpr std::size_t kBlocks = 24;
+  for (const mem::DetectMode mode : {mem::DetectMode::kFullScan, mem::DetectMode::kDirtyBit}) {
+    SCOPED_TRACE(mode == mem::DetectMode::kFullScan ? "kFullScan" : "kDirtyBit");
+    core::ClusterParams p;
+    p.num_nodes = 4;
+    p.max_entities = 64;
+    p.seed = 91;
+    p.detect_mode = mode;
+    core::Cluster c(p);
+    std::vector<EntityId> ses;
+    for (std::uint32_t n = 0; n < 4; ++n) {
+      ses.push_back(add_entity(c, n, workload::Kind::kMoldy, n + 60, kBlocks));
+    }
+    const auto run = [&c, &ses](const char* step) {
+      SCOPED_TRACE(step);
+      HashCheckingService svc(hash::BlockHasher(c.params().hash_algorithm));
+      CommandEngine engine(c);
+      CommandSpec spec;
+      spec.service_entities = ses;
+      const CommandStats stats = engine.execute(svc, spec);
+      EXPECT_TRUE(ok(stats.status));
+      EXPECT_GT(svc.collective_cmds, 0u);
+      EXPECT_EQ(svc.local_cmds, ses.size() * kBlocks);
+      return stats;
+    };
+
+    // Clean blocks: every hash comes from the last scan.
+    (void)c.scan_all();
+    EXPECT_EQ(run("clean").collective_stale, 0u);
+
+    // Rewritten after the scan, no rescan: the write-tracking bits must send
+    // these blocks to the hasher, and the stale DHT entries must be caught.
+    for (const EntityId e : ses) workload::mutate(c.entity(e), 0.5, 1234);
+    EXPECT_GT(run("rewritten").collective_stale, 0u);
+
+    // Throttled: rewrite again and rescan under a small budget. The scan
+    // clears the write-tracking bits of blocks it leaves pending, whose
+    // last scanned hashes are now stale.
+    for (const EntityId e : ses) workload::mutate(c.entity(e), 0.5, 4321);
+    for (std::uint32_t n = 0; n < 4; ++n) c.daemon(node_id(n)).monitor().set_update_budget(4);
+    const mem::ScanStats throttled = c.scan_all();
+    ASSERT_GT(throttled.throttled_blocks, 0u);
+    (void)run("pending");
+
+    // An entity created after the last scan: tracked, never scanned.
+    ses.push_back(add_entity(c, 2, workload::Kind::kMoldy, 99, kBlocks));
+    (void)run("unscanned");
+  }
 }
 
 }  // namespace
