@@ -9,7 +9,7 @@
 // must exclude it mid-protocol. Each seed runs the same experiment:
 //
 //   1. populate + scan a fault-free twin for the coverage baseline;
-//   2. crash one node, run a detection window (epoch + auto ShardRecovery);
+//   2. crash one node, run a detection window (epoch + auto ShardRepair);
 //   3. execute a command against the degraded membership (pre-exclusion);
 //   4. crash a second node *without* telling the detector and execute
 //      again — the engine discovers it at the phase deadline via probes;
@@ -20,7 +20,7 @@
 // PR 8 adds a read-availability sweep at replication R = 1/2/3: the same
 // crash -> detect -> heal -> readmit schedule, but with node-wise reads
 // issued at every stage. At R = 1 reads of the crashed shard time out
-// (degraded) until detection remaps and recovery republishes; at R > 1 they
+// (degraded) until detection remaps and ShardRepair republishes; at R > 1 they
 // fail over to a surviving replica, so `--smoke` additionally gates zero
 // read unavailability at R = 3 and writes BENCH_pr8.json.
 #include <cstring>
@@ -32,8 +32,7 @@
 #include "query/queries.hpp"
 #include "services/dht_audit.hpp"
 #include "services/null_service.hpp"
-#include "services/replica_resync.hpp"
-#include "services/shard_recovery.hpp"
+#include "services/shard_repair.hpp"
 #include "svc/command_engine.hpp"
 #include "workload/workloads.hpp"
 
@@ -79,7 +78,7 @@ struct Row {
   std::uint64_t seed = 0;
   double clean_cmd_ms = 0;     // fault-free command latency (virtual)
   double detect_ms = 0;        // one detection window (virtual)
-  std::uint64_t republished = 0;  // ShardRecovery republish volume (both epochs)
+  std::uint64_t republished = 0;  // ShardRepair republish volume (both epochs)
   double degraded_known_ms = 0;   // command with membership-known dead node
   double degraded_probe_ms = 0;   // command that discovers the crash via probes
   std::uint64_t excluded = 0;     // nodes excluded across both commands
@@ -101,7 +100,7 @@ Row run_seed(std::uint64_t seed, bench::MetricsSidecar& sidecar, bool smoke,
 
   auto c = make_cluster(seed, smoke);
   const auto ses = populate(*c);
-  services::ShardRecovery recovery(*c);
+  services::ShardRepair repair(*c);
   services::NullService null;
   svc::CommandEngine engine(*c);
   svc::CommandSpec spec;
@@ -111,7 +110,7 @@ Row run_seed(std::uint64_t seed, bench::MetricsSidecar& sidecar, bool smoke,
   r.clean_cmd_ms = bench::to_ms(engine.execute(null, spec).latency());
 
   // Crash node 3; one detection window suspects it, remaps its shard, and
-  // the auto-registered recovery republishes the orphaned ground truth.
+  // the auto-registered repair republishes the orphaned ground truth.
   c->fault().crash(node_id(3));
   sim::Time t0 = c->sim().now();
   (void)c->detect();
@@ -133,7 +132,7 @@ Row run_seed(std::uint64_t seed, bench::MetricsSidecar& sidecar, bool smoke,
   c->fault().heal_all();
   (void)c->detect();
   (void)c->detect();
-  r.republished = recovery.total_republished();
+  r.republished = repair.total_republished();
 
   services::DhtAudit audit(*c);
   for (r.audit_passes = 1; r.audit_passes <= 3; ++r.audit_passes) {
@@ -199,8 +198,7 @@ AvailRow run_availability(std::uint32_t repl, std::uint64_t seed, bool smoke) {
   p.watchdog.hard_fail = smoke;
   auto c = std::make_unique<core::Cluster>(p);
   const auto ses = populate(*c);
-  services::ShardRecovery recovery(*c);
-  services::ReplicaResync resync(*c);  // after recovery: republish verdicts settle first
+  services::ShardRepair repair(*c);
   query::QueryEngine q(*c);
 
   // Read set: the first distinct hashes of one entity's ground truth. Homes
@@ -236,7 +234,7 @@ AvailRow run_availability(std::uint32_t repl, std::uint64_t seed, bool smoke) {
   sweep();                       // stage 1: healthy baseline
   c->fault().crash(node_id(3));  // crash an owner behind the detector's back
   sweep();                       // stage 2: reads race detection
-  (void)c->detect();             // epoch change: recovery + resync listeners run
+  (void)c->detect();             // epoch change: the repair listener runs
   sweep();                       // stage 3: post-remap
   c->fault().heal_all();
   (void)c->detect();             // readmission window

@@ -9,9 +9,10 @@
 //      the reliable class retries through normal backoff; the watchdog's
 //      extended conservation identity stays violation-free throughout;
 //   2. database — silently corrupted shard entries at R = 1/2/3: the
-//      integrity scrub quarantines every one, heals through the replica
-//      donor path (R >= 2) or ground-truth republish (R = 1), and a
-//      post-heal audit converges with entries_repaired == entries_quarantined;
+//      integrity scrub quarantines every one, heals through ShardRepair (a
+//      donor stream where an in-sync group member survives, a ground-truth
+//      republish otherwise — always at R = 1), and a post-heal audit
+//      converges with entries_repaired == entries_quarantined;
 //   3. storage — integrity-mode checkpoints under torn writes, a mid-write
 //      crash-point, and post-commit bit-rot: the committed generation always
 //      restores bit-exact, and every rotted file is named by the manifest.

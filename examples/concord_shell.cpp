@@ -21,8 +21,7 @@
 #include "services/collective_checkpoint.hpp"
 #include "services/dht_audit.hpp"
 #include "services/migration.hpp"
-#include "services/replica_resync.hpp"
-#include "services/shard_recovery.hpp"
+#include "services/shard_repair.hpp"
 #include "svc/command_engine.hpp"
 #include "workload/workloads.hpp"
 
@@ -32,8 +31,7 @@ namespace {
 
 struct Shell {
   std::unique_ptr<core::Cluster> cluster;
-  std::unique_ptr<services::ShardRecovery> recovery;  // auto-runs on epoch change
-  std::unique_ptr<services::ReplicaResync> resync;    // R > 1 only; after recovery
+  std::unique_ptr<services::ShardRepair> repair;  // auto-runs on epoch change
   std::unique_ptr<services::CollectiveCheckpointService> last_ckpt;
 
   bool require_cluster() const {
@@ -70,13 +68,9 @@ struct Shell {
     // watchdog sweep the invariants at every scan boundary.
     p.trace_propagation = true;
     p.watchdog.enabled = true;
-    resync.reset();
-    recovery.reset();
+    repair.reset();
     cluster = std::make_unique<core::Cluster>(p);
-    recovery = std::make_unique<services::ShardRecovery>(*cluster);
-    if (cluster->placement().replication() > 1) {
-      resync = std::make_unique<services::ReplicaResync>(*cluster);
-    }
+    repair = std::make_unique<services::ShardRepair>(*cluster);
     last_ckpt.reset();
     if (mtu != 0) {
       std::printf("cluster: %u nodes, loss %.1f%%, update batching at %zu B MTU "
@@ -87,7 +81,7 @@ struct Shell {
                   loss * 100.0);
     }
     std::printf(", R=%u%s\n", cluster->placement().replication(),
-                cluster->placement().replication() > 1 ? " (replica resync on)" : "");
+                cluster->placement().replication() > 1 ? " (donor-stream repair on)" : "");
   }
 
   void cmd_entity(std::istringstream& args) {
@@ -324,26 +318,21 @@ struct Shell {
       for (const NodeId n : suspected) std::printf(" %u", raw(n));
     }
     std::printf("\n");
-    if (v.epoch != before && recovery) {
-      const services::RecoveryReport& r = recovery->last_report();
-      std::printf("recovery: %llu ground-truth hashes checked, %llu entries republished",
-                  static_cast<unsigned long long>(r.hashes_checked),
-                  static_cast<unsigned long long>(r.republished));
-      if (r.skipped_replicated > 0) {
-        std::printf(", %llu left to replica resync",
-                    static_cast<unsigned long long>(r.skipped_replicated));
-      }
-      std::printf(" (%.2f ms)\n", static_cast<double>(r.latency) / 1e6);
-    }
-    if (v.epoch != before && resync) {
-      const services::ResyncReport& r = resync->last_report();
-      std::printf("resync: %llu dirty shards, %llu synced from donors "
-                  "(%llu records streamed, %llu without donor) (%.2f ms)\n",
-                  static_cast<unsigned long long>(r.shards_examined),
+    if (v.epoch != before && repair) {
+      const services::RepairReport& r = repair->last_report();
+      std::printf("repair: %llu home shards examined; %llu donor streams (%llu records); "
+                  "%llu homes republished (%llu entries from %llu ground-truth hashes",
+                  static_cast<unsigned long long>(r.homes_examined),
                   static_cast<unsigned long long>(r.shards_synced),
                   static_cast<unsigned long long>(r.records_streamed),
-                  static_cast<unsigned long long>(r.no_donor),
-                  static_cast<double>(r.latency) / 1e6);
+                  static_cast<unsigned long long>(r.homes_republished),
+                  static_cast<unsigned long long>(r.republished),
+                  static_cast<unsigned long long>(r.hashes_checked));
+      if (r.skipped_replicated > 0) {
+        std::printf(", %llu left to donor streams",
+                    static_cast<unsigned long long>(r.skipped_replicated));
+      }
+      std::printf(") (%.2f ms)\n", static_cast<double>(r.latency) / 1e6);
     }
   }
 
@@ -598,7 +587,7 @@ struct Shell {
     if (cmd == "help") {
       std::puts(
           "cluster <nodes> [loss] [mtu] [R]  create an emulated site (mtu 0 = unbatched\n"
-          "                            updates; R > 1 = replicated DHT shards + resync)\n"
+          "                            updates; R > 1 = replicated shards + donor streams)\n"
           "entity <node> <blocks> [process|vm]\n"
           "fill <id> <moldy|nasty|hpccg|random> [seed]\n"
           "mutate <id> <fraction>      rewrite a fraction of blocks\n"

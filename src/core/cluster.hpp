@@ -50,7 +50,7 @@ struct ClusterParams {
   /// default) is the original single-owner DHT, byte-identical to pre-
   /// replication builds. At R > 1 updates fan out to the first R alive
   /// successors of each hash's home node, reads fail over across the group,
-  /// and crash recovery prefers ReplicaResync streams over full republish.
+  /// and ShardRepair prefers donor streams over full republish.
   /// Clamped to [1, num_nodes]; ignored under single_node_dht.
   std::uint32_t dht_replication = 1;
   /// Owner-batched update datagrams (set .enabled = false to reproduce the

@@ -5,8 +5,8 @@
 // control-plane fact, not a per-message negotiation. The failure detector
 // produces these snapshots; dht::Placement consumes them to remap dead
 // nodes' shards, the command engine consults them to exclude suspects from
-// barriers, and ShardRecovery diffs consecutive views to decide what to
-// re-publish.
+// barriers, and ShardRepair diffs consecutive views to decide which home
+// shards to repair.
 #pragma once
 
 #include <cstdint>

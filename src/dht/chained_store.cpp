@@ -1,7 +1,5 @@
 #include "dht/chained_store.hpp"
 
-#include <malloc.h>  // malloc_usable_size
-
 #include <algorithm>
 #include <bit>
 #include <cassert>
@@ -42,7 +40,7 @@ ChainedDhtStore::Entry* ChainedDhtStore::allocate_entry() {
     p = pool_->allocate();
   } else {
     p = ::operator new(entry_bytes());
-    malloc_bytes_ += malloc_usable_size(p);
+    malloc_bytes_ += malloc_charge(p);
   }
   auto* e = static_cast<Entry*>(p);
   std::memset(e->words(), 0, words_per_entry_ * sizeof(std::uint64_t));
@@ -53,7 +51,7 @@ void ChainedDhtStore::free_entry(Entry* e) noexcept {
   if (mode_ == AllocMode::kPool) {
     pool_->deallocate(e);
   } else {
-    malloc_bytes_ -= malloc_usable_size(e);
+    malloc_bytes_ -= malloc_charge(e);
     ::operator delete(e);
   }
 }

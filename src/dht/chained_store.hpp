@@ -68,8 +68,8 @@ class ChainedDhtStore {
   [[nodiscard]] std::uint32_t max_entities() const noexcept { return max_entities_; }
   [[nodiscard]] AllocMode alloc_mode() const noexcept { return mode_; }
 
-  /// Heap bytes held for entries + bucket array. In kMalloc mode this uses
-  /// the real per-allocation usable size reported by the allocator, so the
+  /// Heap bytes held for entries + bucket array. In kMalloc mode each entry
+  /// is charged malloc_charge(), the allocator's real chunk size, so the
   /// malloc-vs-pool gap in Fig. 6 is measured, not modeled.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 

@@ -12,6 +12,10 @@
 
 namespace concord::dht {
 
+std::size_t malloc_charge(void* p) noexcept {
+  return malloc_usable_size(p) + sizeof(std::size_t);
+}
+
 namespace {
 
 bool test_bit(const std::uint64_t* words, std::uint32_t bit) noexcept {
@@ -157,7 +161,7 @@ std::uint64_t* DhtStore::allocate_spill() {
     p = pool_->allocate();
   } else {
     p = ::operator new(words_per_entry_ * sizeof(std::uint64_t));
-    malloc_bytes_ += malloc_usable_size(p);
+    malloc_bytes_ += malloc_charge(p);
   }
   auto* words = static_cast<std::uint64_t*>(p);
   std::memset(words, 0, words_per_entry_ * sizeof(std::uint64_t));
@@ -168,7 +172,7 @@ void DhtStore::free_spill(std::uint64_t* words) noexcept {
   if (mode_ == AllocMode::kPool) {
     pool_->deallocate(words);
   } else {
-    malloc_bytes_ -= malloc_usable_size(words);
+    malloc_bytes_ -= malloc_charge(words);
     ::operator delete(words);
   }
 }

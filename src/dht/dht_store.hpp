@@ -43,6 +43,12 @@ namespace concord::dht {
 
 enum class AllocMode : std::uint8_t { kMalloc, kPool };
 
+/// Heap bytes a kMalloc-mode block really costs: its usable size plus the
+/// allocator's size word, which is glibc's chunk size. Charging the size
+/// word too keeps the malloc-vs-pool comparison honest under allocators
+/// (ASan, TSan) whose usable size is exactly the request.
+[[nodiscard]] std::size_t malloc_charge(void* p) noexcept;
+
 /// One update-stream record: insert or remove `entity` from `hash`'s set.
 /// This is the unit the owner-batched update datagrams carry; a batch is a
 /// span of these applied through apply_batch().
@@ -124,6 +130,20 @@ class DhtStore {
     }
   }
 
+  /// Invokes fn(hash, entity) for every (hash, entity) pair, entries in
+  /// slot order and each entry's entities ascending.
+  template <typename Fn>
+  void for_each_pair(Fn&& fn) const {
+    for_each_entry([&](const ContentHash& h, const std::uint64_t* words, std::size_t nwords) {
+      for (std::size_t w = 0; w < nwords; ++w) {
+        for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+          fn(h, entity_id(static_cast<std::uint32_t>(
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits)))));
+        }
+      }
+    });
+  }
+
   /// Pre-sizes the table for an expected number of hashes so bulk loads and
   /// steady-state measurements don't pay incremental rehashing.
   void reserve(std::size_t expected_hashes);
@@ -143,10 +163,9 @@ class DhtStore {
   /// computed by walking the table. Test surface.
   [[nodiscard]] std::size_t max_displacement() const noexcept;
 
-  /// Heap bytes held: slot arrays plus spilled bitmaps. In kMalloc mode the
-  /// spill accounting uses the real per-allocation usable size reported by
-  /// the allocator, so the malloc-vs-pool gap in Fig. 6 is measured, not
-  /// modeled.
+  /// Heap bytes held: slot arrays plus spilled bitmaps. In kMalloc mode each
+  /// spill is charged malloc_charge(), the allocator's real chunk size, so
+  /// the malloc-vs-pool gap in Fig. 6 is measured, not modeled.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   void clear();

@@ -112,7 +112,7 @@ ScanStats MemoryUpdateMonitor::scan(const EmitFn& emit) {
     const bool parallel = !throttled && workers > 1 && idx.size() >= kParallelMinBlocks;
     if (parallel) {
       if (pool_ == nullptr || pool_->workers() != workers) {
-        pool_ = std::make_unique<HashPool>(workers);
+        pool_ = std::make_unique<sim::WorkerPool>(workers);
       }
       prehashed.resize(idx.size());
       pool_->run(idx.size(), [&](std::size_t begin, std::size_t end) {

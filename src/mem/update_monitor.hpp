@@ -27,10 +27,10 @@
 
 #include "common/types.hpp"
 #include "hash/block_hasher.hpp"
-#include "mem/hash_pool.hpp"
 #include "mem/local_block_map.hpp"
 #include "mem/memory_entity.hpp"
 #include "obs/metrics.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace concord::mem {
 
@@ -148,7 +148,7 @@ class MemoryUpdateMonitor {
   DetectMode mode_;
   std::uint64_t update_budget_ = 0;
   std::size_t hash_workers_ = 1;
-  std::unique_ptr<HashPool> pool_;  // live only while parallel scans run
+  std::unique_ptr<sim::WorkerPool> pool_;  // live only while parallel scans run
   std::unordered_map<EntityId, Tracked> tracked_;
   LocalBlockMap block_map_;
   obs::Registry* metrics_ = nullptr;            // bound registry, if any

@@ -79,56 +79,44 @@ AuditReport DhtAudit::run() {
     std::vector<std::pair<ContentHash, EntityId>> corrupt;
     sim::Time scan = cm.scan_cost(owner.store().unique_hashes());
 
-    owner.store().for_each_entry([&](const ContentHash& h, const std::uint64_t* words,
-                                     std::size_t nwords) {
+    const dht::Placement& pl = cluster_.placement();
+    owner.store().for_each_pair([&](const ContentHash& h, EntityId e) {
+      ++report.entries_checked;
       // Ownership may have moved with the membership epoch: entries left at
       // a node placement no longer maps this hash to are unreachable by
       // queries, so they are scrubbed here (pass 1 re-inserts at the
-      // current owner from ground truth). At R > 1 any current group member
-      // is a legitimate holder — only non-members are misplaced.
-      const dht::Placement& pl = cluster_.placement();
-      const bool here = replicated ? pl.is_replica(pl.home(h), node_id(n))
-                                   : pl.owner(h) == node_id(n);
-      for (std::size_t w = 0; w < nwords; ++w) {
-        std::uint64_t bits = words[w];
-        while (bits != 0) {
-          const auto idx = static_cast<std::uint32_t>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-          const auto e = entity_id(idx);
-          ++report.entries_checked;
-          if (!here) {
-            misplaced.emplace_back(h, e);
-            continue;
-          }
-          bool substantiated = false;
-          bool host_reachable = true;
-          if (cluster_.registry().alive(e)) {
-            const NodeId host = cluster_.registry().host_of(e);
-            if (cluster_.fault().is_down(host)) {
-              // The authoritative host can't answer: not provably stale.
-              host_reachable = false;
-            } else {
-              const auto* locs = cluster_.daemon(host).block_map().find(h);
-              if (locs != nullptr) {
-                for (const mem::BlockLocation& loc : *locs) {
-                  if (loc.entity == e) {
-                    substantiated = true;
-                    break;
-                  }
-                }
+      // current owner from ground truth). Any current group member is a
+      // legitimate holder — only non-members are misplaced.
+      if (!pl.is_replica(pl.home(h), node_id(n))) {
+        misplaced.emplace_back(h, e);
+        return;
+      }
+      bool substantiated = false;
+      bool host_reachable = true;
+      if (cluster_.registry().alive(e)) {
+        const NodeId host = cluster_.registry().host_of(e);
+        if (cluster_.fault().is_down(host)) {
+          // The authoritative host can't answer: not provably stale.
+          host_reachable = false;
+        } else {
+          const auto* locs = cluster_.daemon(host).block_map().find(h);
+          if (locs != nullptr) {
+            for (const mem::BlockLocation& loc : *locs) {
+              if (loc.entity == e) {
+                substantiated = true;
+                break;
               }
             }
           }
-          if (!substantiated && host_reachable) {
-            stale.emplace_back(h, e);
-          } else if (substantiated && scrub_ != nullptr && !scrub_->verify_entry(h, e)) {
-            // The block map vouches for the entry but the bytes do not:
-            // corrupt, not stale — quarantine through the scrub so the
-            // integrity gauges and flight-recorder events fire.
-            corrupt.emplace_back(h, e);
-          }
         }
+      }
+      if (!substantiated && host_reachable) {
+        stale.emplace_back(h, e);
+      } else if (substantiated && scrub_ != nullptr && !scrub_->verify_entry(h, e)) {
+        // The block map vouches for the entry but the bytes do not:
+        // corrupt, not stale — quarantine through the scrub so the
+        // integrity gauges and flight-recorder events fire.
+        corrupt.emplace_back(h, e);
       }
     });
 

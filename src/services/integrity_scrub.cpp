@@ -2,8 +2,6 @@
 // hash-map iteration order.
 #include "services/integrity_scrub.hpp"
 
-#include <bit>
-#include <set>
 #include <utility>
 
 #include "core/cost_model.hpp"
@@ -47,7 +45,6 @@ ScrubReport IntegrityScrub::scrub() {
   sim::Simulation& simu = cluster_.sim();
   const core::CostModel& cm = core::CostModel::instance();
   const dht::Placement& pl = cluster_.placement();
-  const bool replicated = pl.replication() > 1;
   const hash::Algorithm algo = cluster_.params().hash_algorithm;
   const sim::Time t0 = simu.now();
 
@@ -57,28 +54,16 @@ ScrubReport IntegrityScrub::scrub() {
     std::vector<std::pair<ContentHash, EntityId>> bad;
     sim::Time scan = 0;
 
-    member.store().for_each_entry([&](const ContentHash& h, const std::uint64_t* words,
-                                      std::size_t nwords) {
+    member.store().for_each_pair([&](const ContentHash& h, EntityId e) {
       // Misplaced entries (placement no longer maps the hash here) are the
       // audit's territory; the scrub only judges entries this member
       // legitimately serves.
-      const bool here = replicated ? pl.is_replica(pl.home(h), node_id(n))
-                                   : pl.owner(h) == node_id(n);
-      if (!here) return;
-      for (std::size_t w = 0; w < nwords; ++w) {
-        std::uint64_t bits = words[w];
-        while (bits != 0) {
-          const auto idx = static_cast<std::uint32_t>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-          const auto e = entity_id(idx);
-          if (!cluster_.registry().alive(e)) continue;  // stale, not corrupt
-          if (cluster_.fault().is_down(cluster_.registry().host_of(e))) continue;
-          ++rep.entries_checked;
-          scan += cm.hash_cost(algo, cluster_.entity(e).block_size());
-          if (!verify_entry(h, e)) bad.emplace_back(h, e);
-        }
-      }
+      if (!pl.is_replica(pl.home(h), node_id(n))) return;
+      if (!cluster_.registry().alive(e)) return;  // stale, not corrupt
+      if (cluster_.fault().is_down(cluster_.registry().host_of(e))) return;
+      ++rep.entries_checked;
+      scan += cm.hash_cost(algo, cluster_.entity(e).block_size());
+      if (!verify_entry(h, e)) bad.emplace_back(h, e);
     });
 
     for (const auto& [h, e] : bad) {
@@ -94,41 +79,12 @@ ScrubReport IntegrityScrub::scrub() {
 
 void IntegrityScrub::heal() {
   if (pending_.empty()) return;
-  const dht::Placement& pl = cluster_.placement();
-  if (pl.replication() > 1) {
-    // Donor path: flag each quarantined member's home shard dirty and let
-    // ReplicaResync stream it back from the best surviving replica.
-    const std::uint64_t epoch = cluster_.membership().epoch;
-    for (const Quarantined& q : pending_) {
-      cluster_.daemon(q.member).mark_shard_dirty(q.home, epoch);
-    }
-    resync_.resync();
-    return;
+  const std::uint64_t epoch = cluster_.membership().epoch;
+  for (const Quarantined& q : pending_) {
+    cluster_.daemon(q.member).mark_shard_dirty(q.home, epoch);
   }
-
-  // R == 1: no donor exists. Re-publish the affected home shards from the
-  // hosts' local block maps, through the normal update interface — the same
-  // ground-truth republish ShardRecovery uses after a crash.
-  std::set<std::uint32_t> homes;  // ordered: republish traffic is deterministic
-  for (const Quarantined& q : pending_) homes.insert(q.home);
-  for (std::uint32_t n = 0; n < cluster_.num_nodes(); ++n) {
-    if (cluster_.fault().is_down(node_id(n))) continue;
-    const core::ServiceDaemon& host = cluster_.daemon(node_id(n));
-    host.block_map().for_each([&](const ContentHash& h,
-                                  const std::vector<mem::BlockLocation>& locs) {
-      if (!homes.contains(pl.home(h))) return;
-      const NodeId owner = pl.owner(h);
-      std::set<std::uint32_t> entities_here;  // ordered: one insert per entity
-      for (const mem::BlockLocation& loc : locs) entities_here.insert(raw(loc.entity));
-      for (const std::uint32_t e : entities_here) {
-        if (!cluster_.registry().alive(entity_id(e))) continue;
-        cluster_.fabric().send_unreliable(net::make_message(
-            node_id(n), owner, net::MsgType::kDhtInsert,
-            core::DhtUpdateMsg{h, entity_id(e), true}, core::kDhtUpdateBytes));
-      }
-    });
-  }
-  cluster_.sim().run();  // deliver (or lose) the republish datagrams
+  if (!repair_) repair_.emplace(cluster_, /*auto_repair=*/false);
+  repair_->repair_dirty();
 }
 
 void IntegrityScrub::credit_repairs() {

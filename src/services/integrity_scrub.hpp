@@ -12,24 +12,23 @@
 // Entries that fail re-hash are *quarantined*: removed from the shard,
 // counted on the dht/entries_quarantined gauge, and stamped into the
 // member's flight-recorder ring. Quarantine alone leaves a coverage hole,
-// so scrub_and_heal() repairs it the way the paper repairs every DHT gap —
-// from ground truth:
-//   * R >= 2: the donor path. Each quarantined member's home shard is
-//     marked dirty and ReplicaResync streams it back from the group's best
-//     surviving replica (DESIGN.md §14).
-//   * R == 1: no surviving replica exists; the affected home shards are
-//     re-published from the hosts' local block maps, exactly like
-//     post-crash ShardRecovery.
+// so scrub_and_heal() repairs it the way the paper repairs every DHT gap:
+// it marks each quarantined member's home shard dirty and lets ShardRepair
+// decide (DESIGN.md §7) — a donor stream from an in-sync group member where
+// one survives, otherwise a republish of the home from the hosts' local
+// block maps. At R = 1 the only member is the quarantined one, so the home
+// is always republished.
 // A following verify pass that quarantines nothing certifies the heal;
 // every pending quarantined entry is then credited to
 // dht/entries_repaired, so a converged scrub always ends with
 // entries_repaired == entries_quarantined.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/cluster.hpp"
-#include "services/replica_resync.hpp"
+#include "services/shard_repair.hpp"
 
 namespace concord::services {
 
@@ -45,8 +44,7 @@ struct ScrubReport {
 
 class IntegrityScrub {
  public:
-  explicit IntegrityScrub(core::Cluster& cluster)
-      : cluster_(cluster), resync_(cluster, /*auto_resync=*/false) {}
+  explicit IntegrityScrub(core::Cluster& cluster) : cluster_(cluster) {}
 
   IntegrityScrub(const IntegrityScrub&) = delete;
   IntegrityScrub& operator=(const IntegrityScrub&) = delete;
@@ -58,8 +56,8 @@ class IntegrityScrub {
   ScrubReport scrub();
 
   /// Verify/heal rounds until a pass quarantines nothing (or `max_rounds`
-  /// is hit): scrub, heal the quarantine list through resync (R >= 2) or
-  /// block-map republish (R == 1), re-verify. The terminating clean pass
+  /// is hit): scrub, heal the quarantine list through ShardRepair (donor
+  /// stream or block-map republish), re-verify. The terminating clean pass
   /// credits every pending quarantined entry as repaired.
   ScrubReport scrub_and_heal(int max_rounds = 4);
 
@@ -96,7 +94,9 @@ class IntegrityScrub {
   void credit_repairs();
 
   core::Cluster& cluster_;
-  ReplicaResync resync_;  // donor path for R >= 2 heals (manual trigger)
+  // Heal path (manual trigger), built by the first heal so a scrub that
+  // never quarantines creates no dht/recovery_* cells.
+  std::optional<ShardRepair> repair_;
   std::vector<Quarantined> pending_;
   // Lazy gauges (dht/entries_quarantined, dht/entries_repaired): created on
   // first quarantine, so corruption-free runs keep their metric snapshots

@@ -7,7 +7,7 @@
 //   * local-phase results on surviving nodes are byte-identical to a
 //     fault-free twin run (the local phase is ground truth);
 //   * after healing, DHT coverage returns to >= 99% of the fault-free
-//     baseline within 3 audit passes (ShardRecovery + DhtAudit).
+//     baseline within 3 audit passes (ShardRepair + DhtAudit).
 // Set CONCORD_CHAOS_SEED to sweep an extra seed without recompiling.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@
 
 #include "services/dht_audit.hpp"
 #include "services/null_service.hpp"
-#include "services/shard_recovery.hpp"
+#include "services/shard_repair.hpp"
 #include "svc/command_engine.hpp"
 #include "workload/workloads.hpp"
 
@@ -318,16 +318,16 @@ TEST(ChaosCommand, LocalPhaseResultsByteIdenticalToFaultFreeRun) {
 // Recovery: the DHT coverage hole closes after healing.
 // ---------------------------------------------------------------------------
 
-TEST(ShardRecovery, RepublishesRemappedEntriesAfterCrashAndHeal) {
+TEST(ShardRepair, RepublishesRemappedEntriesAfterCrashAndHeal) {
   auto c = make_cluster(4, 41);
   populate(*c, 1);
   const std::size_t baseline = c->total_unique_hashes();
   ASSERT_GT(baseline, 0u);
-  services::ShardRecovery recovery(*c);
+  services::ShardRepair repair(*c);
 
   c->fault().crash(node_id(1));
   (void)c->detect();  // epoch 1: survivors republish node 1's hashes
-  EXPECT_GT(recovery.last_report().republished, 0u);
+  EXPECT_GT(repair.last_report().republished, 0u);
 
   c->fault().restart(node_id(1));
   (void)c->detect();  // epoch 2: ownership snaps back, republish again
@@ -337,7 +337,7 @@ TEST(ShardRecovery, RepublishesRemappedEntriesAfterCrashAndHeal) {
   EXPECT_GE(c->total_unique_hashes() * 100, baseline * 99);
 }
 
-TEST(ShardRecovery, DepartureRacingOwnerCrashConvergesAfterAudit) {
+TEST(ShardRepair, DepartureRacingOwnerCrashConvergesAfterAudit) {
   auto c = make_cluster(4, 42);
   const auto ses = populate(*c, 1);
 
@@ -407,7 +407,7 @@ TEST(DhtAudit, MidRunLossSpikeHealsOnceLossClears) {
 void run_chaos_sweep(std::uint64_t seed) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   constexpr std::uint32_t kNodes = 6;
-  // hash_workers=2 exercises the HashPool threads under chaos (TSan soak).
+  // hash_workers=2 exercises the monitor's WorkerPool threads under chaos (TSan soak).
   auto clean = make_cluster(kNodes, seed, 0.0, /*hash_workers=*/2);
   auto chaos = make_cluster(kNodes, seed, 0.0, /*hash_workers=*/2);
   const auto ses_clean = populate(*clean, 1);
@@ -415,7 +415,7 @@ void run_chaos_sweep(std::uint64_t seed) {
   const std::size_t baseline = clean->total_unique_hashes();
   ASSERT_GT(baseline, 0u);
 
-  services::ShardRecovery recovery(*chaos);
+  services::ShardRepair repair(*chaos);
   Rng rng(seed * 7919 + 1);
   const auto schedule = net::FaultInjector::random_schedule(
       rng, kNodes, /*faults=*/3, /*horizon=*/800 * sim::kMillisecond);

@@ -136,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(AllocModes, DhtStoreModes,
 TEST(DhtStore, PoolUsesLessMemoryThanMalloc) {
   // The Fig. 6 claim, as a hard invariant at steady state: for identically
   // loaded stores the pool's reserved bytes (minus slab overshoot) beat
-  // malloc's real usable-size accounting. One or two copies per hash never
+  // malloc's real chunk-size accounting. One or two copies per hash never
   // allocates in the compact layout, so the load must spill (3+ entities
   // per hash) for the allocator choice to matter at all.
   constexpr std::uint32_t kEntities = 256;

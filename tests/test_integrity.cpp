@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
+#include "hash/block_hasher.hpp"
+#include "query/queries.hpp"
 #include "services/dht_audit.hpp"
 #include "services/integrity_scrub.hpp"
 #include "services/null_service.hpp"
@@ -144,6 +147,51 @@ TEST_P(ScrubAtReplication, QuarantinesAndHealsCorruptEntries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Replication, ScrubAtReplication, ::testing::Values(1u, 2u, 3u));
+
+TEST(Integrity, WholeGroupQuarantineRepublishesAndReadsStayOk) {
+  // Every member of one replica group holds the same corrupt entry, so the
+  // scrub quarantines it everywhere and no in-sync donor is left. The heal
+  // must rebuild the home from ground truth and flip the members clean;
+  // otherwise every read of a legitimate hash homed there is refused.
+  IntegrityRigParams rp;
+  rp.seed = 83;
+  rp.replication = 2;
+  auto c = make_cluster(rp);
+  const auto ses = populate(*c, 12);
+  const dht::Placement& pl = c->placement();
+  const ContentHash bogus{0xdead0000, 0xbeef0000};
+  const std::uint32_t home = pl.home(bogus);
+  const std::vector<NodeId> group = pl.replicas(bogus);
+  ASSERT_EQ(group.size(), 2u);
+  for (const NodeId member : group) c->daemon(member).store().insert(bogus, ses[0]);
+
+  services::IntegrityScrub scrub(*c);
+  const services::ScrubReport rep = scrub.scrub_and_heal();
+  EXPECT_EQ(rep.quarantined, group.size());
+  EXPECT_EQ(scrub.pending_repairs(), 0u);
+  for (const NodeId member : group) {
+    EXPECT_TRUE(c->daemon(member).shard_insync(home)) << "member " << raw(member);
+  }
+
+  std::set<ContentHash> legit;  // ground-truth hashes homed at the damaged shard
+  const hash::BlockHasher hasher(c->params().hash_algorithm);
+  for (const EntityId id : ses) {
+    const mem::MemoryEntity& e = c->entity(id);
+    for (BlockIndex b = 0; b < e.num_blocks(); ++b) {
+      const ContentHash h = hasher(e.block(b));
+      if (pl.home(h) == home) legit.insert(h);
+    }
+  }
+  ASSERT_FALSE(legit.empty());
+  query::QueryEngine q(*c);
+  std::size_t degraded = 0;
+  for (const ContentHash& h : legit) {
+    const query::NodewiseAnswer a = q.num_copies(node_id(0), h);
+    if (a.status != Status::kOk) ++degraded;
+    EXPECT_GE(a.num_copies, 1u);
+  }
+  EXPECT_EQ(degraded, 0u) << "of " << legit.size() << " reads";
+}
 
 TEST(Integrity, CleanClusterScrubIsANoOp) {
   IntegrityRigParams rp;

@@ -9,10 +9,11 @@
 //     (zero Status::kDegraded across the whole crash -> heal schedule);
 //   * a replica that missed updates (dirty) refuses reads until resynced,
 //     and the read fails over instead of returning stale data;
-//   * ReplicaResync + DhtAudit converge to a clean database under loss and
+//   * ShardRepair + DhtAudit converge to a clean database under loss and
 //     a second mid-schedule crash;
-//   * R = 1 runs are byte-identical to the pre-replication behavior, for
-//     any sim_workers count, with or without a ReplicaResync constructed.
+//   * R = 1 runs are byte-identical to the pre-replication behavior for any
+//     sim_workers count, and with ShardRepair attached they stay identical
+//     across worker counts and never stream a replica shard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,8 +25,7 @@
 #include "hash/block_hasher.hpp"
 #include "query/queries.hpp"
 #include "services/dht_audit.hpp"
-#include "services/replica_resync.hpp"
-#include "services/shard_recovery.hpp"
+#include "services/shard_repair.hpp"
 #include "workload/workloads.hpp"
 
 namespace concord {
@@ -169,8 +169,7 @@ TEST(ReplicaFanout, ScanPopulatesEveryGroupMember) {
 TEST(ReplicaFailover, ReadsStayOkThroughOwnerCrashAtRThree) {
   auto c = make_cluster(8, 3, 32);
   const auto ids = populate(*c, 1);
-  services::ShardRecovery recovery(*c);
-  services::ReplicaResync resync(*c);
+  services::ShardRepair repair(*c);
   query::QueryEngine q(*c);
   const std::vector<ContentHash> hashes = sample_hashes(*c, ids[0]);
   ASSERT_FALSE(hashes.empty());
@@ -188,7 +187,7 @@ TEST(ReplicaFailover, ReadsStayOkThroughOwnerCrashAtRThree) {
   sweep();                       // healthy
   c->fault().crash(node_id(3));  // owner of ~1/8 of the set, undetected
   sweep();                       // failover races detection
-  (void)c->detect();             // remap + recovery + resync
+  (void)c->detect();             // remap + repair
   sweep();
   c->fault().heal_all();
   (void)c->detect();             // readmission
@@ -227,7 +226,7 @@ TEST(ReplicaDirty, RejoinedPrimaryRefusesUntilSyncedAndReadsFailOver) {
   query::QueryEngine q(*c);
   const std::vector<ContentHash> all = sample_hashes(*c, ids[0], 64);
 
-  // No ShardRecovery / ReplicaResync attached: when the crashed node
+  // No ShardRepair attached: when the crashed node
   // rejoins (store wiped) nothing re-syncs it, so its refusals — it is the
   // primary of its home shard again — are observable.
   c->fault().crash(node_id(1));
@@ -259,30 +258,29 @@ TEST(ReplicaDirty, RejoinedPrimaryRefusesUntilSyncedAndReadsFailOver) {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery economics: at R > 1 ShardRecovery defers to the cheap resync
-// stream whenever a donor survives; at R = 1 it must republish.
+// Recovery economics: at R > 1 ShardRepair streams from a donor whenever
+// one survives; at R = 1 it must republish.
 // ---------------------------------------------------------------------------
 
 TEST(ReplicaRecovery, SurvivingDonorTurnsRepublishIntoSkip) {
   auto c3 = make_cluster(6, 3, 34);
   (void)populate(*c3, 1);
-  services::ShardRecovery rec3(*c3);
-  services::ReplicaResync resync(*c3);
+  services::ShardRepair rep3(*c3);
   c3->fault().crash(node_id(2));
   (void)c3->detect();
-  EXPECT_GT(rec3.last_report().skipped_replicated, 0u);
-  EXPECT_EQ(rec3.last_report().republished, 0u)
+  EXPECT_GT(rep3.last_report().skipped_replicated, 0u);
+  EXPECT_EQ(rep3.last_report().republished, 0u)
       << "every changed group kept an alive in-sync donor";
-  EXPECT_GT(resync.last_report().shards_synced, 0u);
+  EXPECT_GT(rep3.last_report().shards_synced, 0u);
   EXPECT_GT(c3->metrics().counter_total("dht", "recovery_skipped_replicated"), 0u);
 
   auto c1 = make_cluster(6, 1, 34);
   (void)populate(*c1, 1);
-  services::ShardRecovery rec1(*c1);
+  services::ShardRepair rep1(*c1);
   c1->fault().crash(node_id(2));
   (void)c1->detect();
-  EXPECT_GT(rec1.last_report().republished, 0u);
-  EXPECT_EQ(rec1.last_report().skipped_replicated, 0u);
+  EXPECT_GT(rep1.last_report().republished, 0u);
+  EXPECT_EQ(rep1.last_report().skipped_replicated, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,11 +290,10 @@ TEST(ReplicaRecovery, SurvivingDonorTurnsRepublishIntoSkip) {
 TEST(ReplicaResyncConvergence, LossAndSecondCrashStillConvergeToCleanAudit) {
   auto c = make_cluster(8, 3, 35, /*loss=*/0.05);
   (void)populate(*c, 1);
-  services::ShardRecovery recovery(*c);
-  services::ReplicaResync resync(*c);
+  services::ShardRepair repair(*c);
 
   c->fault().crash(node_id(3));
-  (void)c->detect();             // first resync runs (lossy, may miss chunks)
+  (void)c->detect();             // first repair runs (lossy, may miss chunks)
   c->fault().crash(node_id(6));  // second failure while state is still settling
   (void)c->detect();
   c->fault().heal_all();
@@ -325,16 +322,20 @@ TEST(ReplicaAudit, FaultFreeRunAtRThreeIsCleanWithBalancedReplication) {
 // ---------------------------------------------------------------------------
 // R = 1 byte-identity: the replication machinery must be invisible — same
 // metric bytes, same causal trace, same virtual clock — at any sim_workers
-// count, with or without a ReplicaResync service constructed.
+// count. With ShardRepair attached the crash and heal rounds make it
+// republish; that run must also be identical across worker counts and never
+// stream a replica shard.
 // ---------------------------------------------------------------------------
 
 struct RunFingerprint {
   std::string metrics;
   std::string trace;
   sim::Time now = 0;
+  std::uint64_t replica_sync_msgs = 0;
+  std::uint64_t republished = 0;
 };
 
-RunFingerprint r1_fingerprint(std::size_t workers, bool with_resync) {
+RunFingerprint r1_fingerprint(std::size_t workers, bool with_repair) {
   core::ClusterParams p;
   p.num_nodes = 6;
   p.max_entities = 64;
@@ -344,8 +345,8 @@ RunFingerprint r1_fingerprint(std::size_t workers, bool with_resync) {
   p.trace_propagation = true;
   p.sim_workers = workers;
   auto c = std::make_unique<core::Cluster>(p);
-  std::unique_ptr<services::ReplicaResync> resync;
-  if (with_resync) resync = std::make_unique<services::ReplicaResync>(*c);
+  std::unique_ptr<services::ShardRepair> repair;
+  if (with_repair) repair = std::make_unique<services::ShardRepair>(*c);
   const auto ids = populate(*c, 1, 24);
   for (int round = 0; round < 4; ++round) {
     for (const EntityId id : ids) {
@@ -358,24 +359,32 @@ RunFingerprint r1_fingerprint(std::size_t workers, bool with_resync) {
     (void)c->detect();
   }
   return RunFingerprint{c->metrics().to_json(), c->tracer().to_chrome_json(),
-                        c->sim().now()};
+                        c->sim().now(), c->fabric().type_msgs(net::MsgType::kReplicaSync),
+                        repair ? repair->total_republished() : 0};
 }
 
 TEST(ReplicaByteIdentity, ROneRunsIdenticalAcrossWorkersAndWithResyncAttached) {
-  const RunFingerprint base = r1_fingerprint(1, /*with_resync=*/false);
+  const RunFingerprint base = r1_fingerprint(1, /*with_repair=*/false);
   EXPECT_GT(base.now, 0u);
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    const RunFingerprint f = r1_fingerprint(workers, /*with_resync=*/false);
+    const RunFingerprint f = r1_fingerprint(workers, /*with_repair=*/false);
     EXPECT_EQ(base.metrics, f.metrics) << workers << " workers";
     EXPECT_EQ(base.trace, f.trace) << workers << " workers";
     EXPECT_EQ(base.now, f.now) << workers << " workers";
   }
-  // A ReplicaResync constructed at R = 1 is a pure no-op: no lazy metric
-  // cells, no traffic, no clock movement.
-  const RunFingerprint with = r1_fingerprint(1, /*with_resync=*/true);
-  EXPECT_EQ(base.metrics, with.metrics);
-  EXPECT_EQ(base.trace, with.trace);
-  EXPECT_EQ(base.now, with.now);
+  // ShardRepair attached at R = 1: its republish is as deterministic as the
+  // scan pipeline it rides, and it never streams from a donor.
+  const RunFingerprint with = r1_fingerprint(1, /*with_repair=*/true);
+  EXPECT_GT(with.republished, 0u) << "the crash and heal rounds must republish";
+  EXPECT_EQ(with.replica_sync_msgs, 0u);
+  EXPECT_EQ(with.metrics.find("resync_"), std::string::npos);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const RunFingerprint f = r1_fingerprint(workers, /*with_repair=*/true);
+    EXPECT_EQ(with.metrics, f.metrics) << workers << " workers";
+    EXPECT_EQ(with.trace, f.trace) << workers << " workers";
+    EXPECT_EQ(with.now, f.now) << workers << " workers";
+    EXPECT_EQ(f.replica_sync_msgs, 0u) << workers << " workers";
+  }
 }
 
 }  // namespace
