@@ -115,7 +115,7 @@ CostModel CostModel::calibrate() {
 }
 
 const CostModel& CostModel::instance() {
-  static const CostModel model = calibrate();
+  static const CostModel model;
   return model;
 }
 

@@ -203,7 +203,8 @@ void ServiceDaemon::handle_message(const net::Message& msg) {
       const auto it = handlers_.find(static_cast<std::uint16_t>(msg.type));
       if (it != handlers_.end()) {
         it->second(*this, msg);
-      } else {
+      } else if (net::binding(msg.type).dispatch != net::MsgDispatch::kSink) {
+        // Sink types only model wire volume; arriving unhandled is their job.
         if (unhandled_msgs_ != nullptr) unhandled_msgs_->inc();
         log::warn("daemon %u: unhandled message type %u", raw(id_),
                   static_cast<unsigned>(msg.type));

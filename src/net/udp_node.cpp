@@ -163,31 +163,10 @@ Status UdpDhtNode::send_update_batch(UdpEndpoint& from, std::uint16_t port,
   return from.send_to(port, wire);
 }
 
-Result<codec::CollectiveReply> UdpDhtNode::collective_query(UdpEndpoint& from,
-                                                            std::uint16_t port,
-                                                            const codec::CollectiveQuery& q,
-                                                            int timeout_ms) {
-  std::vector<std::byte> wire;
-  codec::encode(q, wire);
-  const Status s = from.send_to(port, wire);
-  if (!ok(s)) return s;
-
-  for (int waited = 0; waited <= timeout_ms;) {
-    const int slice = std::min(timeout_ms - waited + 1, 50);
-    const Result<std::vector<std::byte>> got = from.recv(slice);
-    waited += slice;
-    if (!got.has_value()) {
-      if (got.status() == Status::kTimeout) continue;
-      return got.status();
-    }
-    const Result<codec::CollectiveReply> reply = codec::decode_collective_reply(got.value());
-    if (reply.has_value() && reply.value().req_id == q.req_id) return reply;
-  }
-  return Status::kTimeout;
-}
-
-Result<codec::QueryReply> UdpDhtNode::query(UdpEndpoint& from, std::uint16_t port,
-                                            const codec::Query& q, int timeout_ms) {
+template <typename Reply, typename Request>
+Result<Reply> UdpDhtNode::round_trip(UdpEndpoint& from, std::uint16_t port, const Request& q,
+                                     Result<Reply> (*decode)(std::span<const std::byte>),
+                                     int timeout_ms) {
   std::vector<std::byte> wire;
   codec::encode(q, wire);
   const Status s = from.send_to(port, wire);
@@ -202,10 +181,22 @@ Result<codec::QueryReply> UdpDhtNode::query(UdpEndpoint& from, std::uint16_t por
       if (got.status() == Status::kTimeout) continue;
       return got.status();
     }
-    const Result<codec::QueryReply> reply = codec::decode_query_reply(got.value());
+    Result<Reply> reply = decode(got.value());
     if (reply.has_value() && reply.value().req_id == q.req_id) return reply;
   }
   return Status::kTimeout;
+}
+
+Result<codec::CollectiveReply> UdpDhtNode::collective_query(UdpEndpoint& from,
+                                                            std::uint16_t port,
+                                                            const codec::CollectiveQuery& q,
+                                                            int timeout_ms) {
+  return round_trip(from, port, q, &codec::decode_collective_reply, timeout_ms);
+}
+
+Result<codec::QueryReply> UdpDhtNode::query(UdpEndpoint& from, std::uint16_t port,
+                                            const codec::Query& q, int timeout_ms) {
+  return round_trip(from, port, q, &codec::decode_query_reply, timeout_ms);
 }
 
 }  // namespace concord::net

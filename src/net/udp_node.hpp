@@ -74,6 +74,12 @@ class UdpDhtNode {
                                                          int timeout_ms);
 
  private:
+  /// Sends `q` and waits up to timeout_ms for the reply with its req_id.
+  template <typename Reply, typename Request>
+  static Result<Reply> round_trip(UdpEndpoint& from, std::uint16_t port, const Request& q,
+                                  Result<Reply> (*decode)(std::span<const std::byte>),
+                                  int timeout_ms);
+
   UdpEndpoint endpoint_;
   dht::DhtStore store_;
   std::vector<std::uint32_t> entity_hosts_;

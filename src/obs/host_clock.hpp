@@ -3,14 +3,14 @@
 // Everything else in the tree runs on the simulation's virtual clock so runs
 // replay bit-for-bit; concord-lint (rule D1, concord-determinism) bans the
 // <chrono> clocks everywhere except this header, common/rng, src/sim, and the
-// net/udp_* transport. Code that genuinely needs to *measure* host time — the
-// cost-model calibration and the "charge a local computation to virtual time"
-// pattern in the query/service engines — goes through these helpers, which
-// keeps every such site greppable and auditable.
+// net/udp_* transport. Its only caller is CostModel::calibrate(), which
+// measures this host's unit costs for tests and reports. Nothing measured
+// here is charged to the virtual clock: engines charge the pinned profile
+// in core/cost_model.hpp instead.
 //
 // Values returned here must never be folded into emitted bytes (snapshots,
-// wire payloads, checkpoint contents); they may only be charged to the
-// virtual clock as a duration or printed in human-facing reports.
+// wire payloads, checkpoint contents) or virtual time; they may only be
+// printed in human-facing reports.
 #pragma once
 
 #include <chrono>
@@ -25,8 +25,7 @@ namespace concord::obs {
       .count();
 }
 
-/// Host-clock nanoseconds spent in fn(): the measurement half of the
-/// "run locally, charge virtually" idiom.
+/// Host-clock nanoseconds spent in fn().
 template <typename Fn>
 [[nodiscard]] inline std::int64_t host_timed_ns(Fn&& fn) {
   const std::int64_t t0 = host_now_ns();

@@ -7,18 +7,10 @@
 
 #include "core/cost_model.hpp"
 #include "dht/collective_scan.hpp"
-#include "obs/host_clock.hpp"
 
 namespace concord::query {
 
 namespace {
-
-/// Measures a local computation on the host clock so its cost can be
-/// charged to the simulation's virtual clock.
-template <typename Fn>
-sim::Time timed(Fn&& fn) {
-  return obs::host_timed_ns(std::forward<Fn>(fn));
-}
 
 struct NodeQueryMsg {
   std::uint64_t req_id;
@@ -140,10 +132,11 @@ NodewiseAnswer QueryEngine::entities_impl(NodeId from, const ContentHash& h,
                 d.id(), m.src, net::MsgType::kNodeQueryReply, std::move(reply), body));
             return;
           }
-          reply.compute_time = timed([&] {
-            reply.num_copies = d.store().num_entities(q.hash);
-            if (q.want_entities) reply.entities = d.store().entities(q.hash);
-          });
+          reply.num_copies = d.store().num_entities(q.hash);
+          if (q.want_entities) reply.entities = d.store().entities(q.hash);
+          // A lookup is one handler dispatch plus one entry's bitmap read.
+          const core::CostModel& cm = core::CostModel::instance();
+          reply.compute_time = cm.callback_cost() + cm.scan_cost(1);
           const std::size_t body = 8 + 8 + reply.entities.size() * sizeof(EntityId) + 8 +
                                    (repl > 1 ? 1 : 0);
           // Charge the local computation before the reply leaves the node.
@@ -225,7 +218,7 @@ QueryEngine::CollectivePartial QueryEngine::run_collective(NodeId from,
           const auto& req = m.as<CollectiveReqMsg>();
           CollectiveReplyMsg reply{req.req_id, {}};
           reply.partial = compute_partial(d, *req.set, req.k, req.collect_hashes);
-          // Charged via the calibrated per-entry scan cost so the shard
+          // Charged via the pinned per-entry scan cost so the shard
           // computation is deterministic (see core/cost_model.hpp).
           const sim::Time cost =
               core::CostModel::instance().scan_cost(d.store().unique_hashes());

@@ -99,6 +99,7 @@ void IntegrityScrub::credit_repairs() {
 
 ScrubReport IntegrityScrub::scrub_and_heal(int max_rounds) {
   ScrubReport total;
+  const sim::Time t0 = cluster_.sim().now();
   for (int round = 0; round < max_rounds; ++round) {
     // Heal anything already on the quarantine list (from a previous round,
     // or a standalone scrub() call) before verifying, so a clean pass below
@@ -108,7 +109,6 @@ ScrubReport IntegrityScrub::scrub_and_heal(int max_rounds) {
     total.entries_checked += r.entries_checked;
     total.quarantined += r.quarantined;
     total.rounds += r.rounds;
-    total.latency += r.latency;
     if (r.clean()) {
       // A clean pass re-hashed every verifiable entry and found nothing
       // corrupt: the heal held, so the whole pending quarantine list is
@@ -118,6 +118,8 @@ ScrubReport IntegrityScrub::scrub_and_heal(int max_rounds) {
       break;
     }
   }
+  // The heal rounds run on the same clock, so the latency spans them too.
+  total.latency = cluster_.sim().now() - t0;
   return total;
 }
 

@@ -37,7 +37,7 @@ struct ScrubReport {
   std::uint64_t quarantined = 0;      // entries removed as unverifiable
   std::uint64_t repaired = 0;         // entries credited healed this call
   std::uint64_t rounds = 0;           // verify passes run (scrub_and_heal)
-  sim::Time latency = 0;
+  sim::Time latency = 0;              // virtual time the call spanned, heals included
 
   [[nodiscard]] bool clean() const noexcept { return quarantined == 0; }
 };

@@ -6,16 +6,11 @@
 #include <map>
 #include <utility>
 
-#include "obs/host_clock.hpp"
+#include "core/cost_model.hpp"
 
 namespace concord::services {
 
 namespace {
-
-template <typename Fn>
-sim::Time timed(Fn&& fn) {
-  return obs::host_timed_ns(std::forward<Fn>(fn));
-}
 
 /// Batched residency probe: "which of these hashes does an entity hosted at
 /// `where` hold?" — one message per shard instead of one per block.
@@ -57,20 +52,20 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
         net::MsgType::kNodeQuery, [this, &simu](core::ServiceDaemon& d, const net::Message& m) {
           const auto& req = m.as<ResidencyReq>();
           auto holder = std::make_shared<std::vector<std::uint32_t>>();
-          const sim::Time cost = timed([&] {
-            holder->reserve(req.hashes->size());
-            for (const ContentHash& h : *req.hashes) {
-              std::uint32_t found = kNoHolder;
-              for (const EntityId e : d.store().entities(h)) {
-                if (cluster_.registry().alive(e) &&
-                    cluster_.registry().host_of(e) == req.where) {
-                  found = raw(e);
-                  break;
-                }
+          holder->reserve(req.hashes->size());
+          for (const ContentHash& h : *req.hashes) {
+            std::uint32_t found = kNoHolder;
+            for (const EntityId e : d.store().entities(h)) {
+              if (cluster_.registry().alive(e) && cluster_.registry().host_of(e) == req.where) {
+                found = raw(e);
+                break;
               }
-              holder->push_back(found);
             }
-          });
+            holder->push_back(found);
+          }
+          // One handler dispatch, then one entry lookup per probed hash.
+          const core::CostModel& cm = core::CostModel::instance();
+          const sim::Time cost = cm.callback_cost() + cm.scan_cost(req.hashes->size());
           const std::size_t body = 8 + holder->size() * 4;
           simu.after(cost, [&d, m, req_id = req.req_id, holder, body]() {
             d.fabric().send_reliable(net::make_message(d.id(), m.src,
@@ -97,10 +92,9 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
     // 1. Ground-truth hashes for every block (the NSM's view, fresh).
     const hash::BlockHasher& hasher = cluster_.daemon(src_node).monitor().hasher();
     std::vector<ContentHash> block_hash(src.num_blocks());
-    const sim::Time hash_cost = timed([&] {
-      for (BlockIndex b = 0; b < src.num_blocks(); ++b) block_hash[b] = hasher(src.block(b));
-    });
-    simu.run_until(simu.now() + hash_cost);
+    for (BlockIndex b = 0; b < src.num_blocks(); ++b) block_hash[b] = hasher(src.block(b));
+    simu.run_until(simu.now() + core::CostModel::instance().hash_cost(
+                                    hasher.algorithm(), src.num_blocks() * src.block_size()));
 
     // 2. Batched residency probes, one per shard owner.
     std::map<std::uint32_t, std::vector<std::size_t>> by_shard;  // shard -> block idx, ordered: probes are emitted per shard

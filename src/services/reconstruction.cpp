@@ -4,16 +4,11 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/host_clock.hpp"
+#include "core/cost_model.hpp"
 
 namespace concord::services {
 
 namespace {
-template <typename Fn>
-sim::Time timed(Fn&& fn) {
-  return obs::host_timed_ns(std::forward<Fn>(fn));
-}
-
 struct BlockPull {
   std::uint64_t req_id;
   ContentHash hash;
@@ -89,10 +84,9 @@ Result<EntityId> VmReconstruction::reconstruct(const std::string& se_path,
       for (const mem::BlockLocation& loc : *locs) {
         if (loc.entity != cand) continue;
         const auto donor = cluster_.entity(loc.entity).block(loc.block);
-        bool verified = false;
-        const sim::Time vcost = timed([&] { verified = hasher(donor) == r.hash; });
-        simu.run_until(simu.now() + vcost);
-        if (verified) {
+        simu.run_until(simu.now() +
+                       core::CostModel::instance().hash_cost(hasher.algorithm(), donor.size()));
+        if (hasher(donor) == r.hash) {
           block.assign(donor.begin(), donor.end());
           got_live = true;
           // Charge the pull as one query round trip to the owner plus the

@@ -201,8 +201,15 @@ TEST(Batching, PendingRecordsRemapToSuccessorWhenOwnerCrashesBeforeFlush) {
 TEST(Batching, UnhandledMessagesAreCounted) {
   core::Cluster cluster(make_params(true, 0.0, 3));
   EXPECT_EQ(cluster.metrics().counter_total("core", "unhandled_msgs"), 0u);
+  // kControl is a sink type: it models wire volume and has no handler by
+  // design, so its arrival is not a fault.
   cluster.fabric().send_unreliable(net::make_message(
       node_id(0), node_id(1), net::MsgType::kControl, std::string("noop"), 4));
+  cluster.sim().run();
+  EXPECT_EQ(cluster.metrics().counter_total("core", "unhandled_msgs"), 0u);
+  // kData is dispatched to a registered handler, and a fresh cluster has none.
+  cluster.fabric().send_unreliable(net::make_message(
+      node_id(0), node_id(1), net::MsgType::kData, std::string("noop"), 4));
   cluster.sim().run();
   EXPECT_EQ(cluster.metrics().counter_total("core", "unhandled_msgs"), 1u);
 }

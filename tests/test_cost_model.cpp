@@ -1,7 +1,8 @@
-// Tests for the calibrated cost model and the determinism it buys: two
+// Tests for the pinned cost model and the determinism it buys: two
 // identical simulations must produce bit-identical virtual timelines.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "core/cost_model.hpp"
@@ -13,8 +14,38 @@
 namespace concord::core {
 namespace {
 
-TEST(CostModel, CalibratedValuesAreSane) {
+TEST(CostModel, InstanceIsThePinnedProfile) {
   const CostModel& m = CostModel::instance();
+  const CostModel pinned;
+  EXPECT_EQ(m.md5_ns_per_byte, pinned.md5_ns_per_byte);
+  EXPECT_EQ(m.superfast_ns_per_byte, pinned.superfast_ns_per_byte);
+  EXPECT_EQ(m.touch_ns_per_byte, pinned.touch_ns_per_byte);
+  EXPECT_EQ(m.callback_ns, pinned.callback_ns);
+  EXPECT_EQ(m.entry_scan_ns, pinned.entry_scan_ns);
+  EXPECT_EQ(m.cgz_ns_per_byte, pinned.cgz_ns_per_byte);
+}
+
+TEST(CostModel, CalibratedValuesAreSane) {
+  const CostModel m = CostModel::calibrate();
+  // Report how this host compares with the pinned profile. Divergence is
+  // information, not failure: sanitizer and Debug builds run far slower.
+  const CostModel pinned;
+  const struct {
+    const char* name;
+    double measured, pinned;
+  } units[] = {
+      {"md5_ns_per_byte", m.md5_ns_per_byte, pinned.md5_ns_per_byte},
+      {"superfast_ns_per_byte", m.superfast_ns_per_byte, pinned.superfast_ns_per_byte},
+      {"touch_ns_per_byte", m.touch_ns_per_byte, pinned.touch_ns_per_byte},
+      {"callback_ns", m.callback_ns, pinned.callback_ns},
+      {"entry_scan_ns", m.entry_scan_ns, pinned.entry_scan_ns},
+      {"cgz_ns_per_byte", m.cgz_ns_per_byte, pinned.cgz_ns_per_byte},
+  };
+  for (const auto& u : units) {
+    const double ratio = u.measured / u.pinned;
+    std::printf("  %-22s measured %9.4f  pinned %9.4f  ratio %5.2f%s\n", u.name, u.measured,
+                u.pinned, ratio, ratio > 2.0 || ratio < 0.5 ? "  (>2x off)" : "");
+  }
   EXPECT_GT(m.md5_ns_per_byte, 0.0);
   EXPECT_LT(m.md5_ns_per_byte, 100.0);
   EXPECT_GT(m.superfast_ns_per_byte, 0.0);

@@ -193,6 +193,24 @@ TEST(Integrity, WholeGroupQuarantineRepublishesAndReadsStayOk) {
   EXPECT_EQ(degraded, 0u) << "of " << legit.size() << " reads";
 }
 
+TEST(Integrity, ScrubAndHealLatencyCoversTheHeal) {
+  // At R = 1 the heal republishes the quarantined home over the fabric, which
+  // takes virtual time between the verify passes. The report must span it.
+  IntegrityRigParams rp;
+  rp.seed = 81;
+  auto c = make_cluster(rp);
+  const auto ses = populate(*c);
+  const ContentHash bogus{0xdead0000, 0xbeef0000};
+  c->daemon(c->placement().owner(bogus)).store().insert(bogus, ses[0]);
+
+  services::IntegrityScrub scrub(*c);
+  const sim::Time t0 = c->sim().now();
+  const services::ScrubReport rep = scrub.scrub_and_heal();
+  ASSERT_EQ(rep.quarantined, 1u);
+  ASSERT_EQ(rep.repaired, 1u);
+  EXPECT_EQ(rep.latency, c->sim().now() - t0);
+}
+
 TEST(Integrity, CleanClusterScrubIsANoOp) {
   IntegrityRigParams rp;
   rp.seed = 90;
